@@ -89,18 +89,6 @@ class Faae(Layer):
     def forward(self, x_f: Tensor, x_s: Tensor, mode: str = "infer", update_running=None) -> Tensor:
         return self.enhance(x_s, x_f, self.attention(x_f, x_s), mode, update_running)
 
-    def trainables(self, prefix):
-        out = []
-        for name, lay in (("q_f", self.q_f), ("q_s", self.q_s), ("k_f", self.k_f),
-                          ("k_s", self.k_s), ("v_f", self.v_f), ("out", self.out)):
-            out += lay.trainables(f"{prefix}.{name}")
-        out += self.bn.trainables(f"{prefix}.bn")
-        out.append((f"{prefix}.gamma_s", self.gamma_s))
-        return out
-
-    def buffers(self, prefix):
-        return self.bn.buffers(f"{prefix}.bn")
-
 
 @dataclass
 class HcmaConfig:
@@ -142,8 +130,8 @@ class Hcma(Layer):
         self.w_k = LinearLayer(dt, dt, rng, dtype, bias=False)
         self.w_v = LinearLayer(dt, dt, rng, dtype, bias=False)
         self.residual = LinearLayer(de, de, rng, dtype, bias=False)
-        self.bn = BatchNormLayer(de, dtype)
         self.gate = LinearLayer(DESCRIPTOR_LENGTH, de, rng, dtype)
+        self.bn = BatchNormLayer(de, dtype)
 
     def _split_heads(self, x: Tensor) -> Tensor:
         n, t, dt = x.shape
@@ -188,17 +176,6 @@ class Hcma(Layer):
                              values=self._merge_heads(v, n), gate=g, residual_sum=a_res)
         return fused
 
-    def trainables(self, prefix):
-        out = []
-        for name, lay in (("proj_s", self.proj_s), ("proj_f", self.proj_f),
-                          ("w_q", self.w_q), ("w_k", self.w_k), ("w_v", self.w_v),
-                          ("residual", self.residual), ("gate", self.gate)):
-            out += lay.trainables(f"{prefix}.{name}")
-        return out + self.bn.trainables(f"{prefix}.bn")
-
-    def buffers(self, prefix):
-        return self.bn.buffers(f"{prefix}.bn")
-
 
 class Classifier(Layer):
     """Linear head with sigmoid output; exposes the logit for loss computation."""
@@ -210,6 +187,3 @@ class Classifier(Layer):
         """Returns (logits [N], probabilities [N])."""
         logits = T.reshape(self.head.forward(fused), (fused.shape[0],))
         return logits, T.sigmoid(logits)
-
-    def trainables(self, prefix):
-        return self.head.trainables(f"{prefix}.head")

@@ -68,7 +68,20 @@ def write_ppm(path, img: PlanarImage) -> None:
 # -- manifests ------------------------------------------------------------
 
 
-def _require_keys(record: dict, required: set, optional: set, where: str) -> None:
+def _load_records(path, kind: str) -> list:
+    try:
+        with open(path) as fh:
+            records = json.load(fh)
+    except ValueError as exc:  # invalid JSON or text that is not UTF-8
+        raise InputError(f"{path}: {kind} manifest is not valid JSON: {exc}") from None
+    if not isinstance(records, list):
+        raise InputError(f"{path}: {kind} manifest must be a JSON array")
+    return records
+
+
+def _require_keys(record, required: set, optional: set, where: str) -> None:
+    if not isinstance(record, dict):
+        raise InputError(f"{where}: expected a JSON object, got {type(record).__name__}")
     keys = set(record)
     missing = required - keys
     unknown = keys - required - optional
@@ -78,36 +91,43 @@ def _require_keys(record: dict, required: set, optional: set, where: str) -> Non
         raise InputError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _require_file_name(record: dict, where: str) -> None:
+    if not isinstance(record["file"], str):
+        raise InputError(f"{where}: file must be a string, got {record['file']!r}")
+
+
+def _bbox(record: dict, where: str) -> BoundingBox:
+    for key in ("x", "y", "w", "h"):
+        value = record[key]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InputError(f"{where}: {key} must be an integer, got {value!r}")
+    return BoundingBox(record["x"], record["y"], record["w"], record["h"])
+
+
 def load_bbox_manifest(path) -> Dict[str, BoundingBox]:
     """JSON array of {file, x, y, w, h} records, pixels with top-left origin."""
-    with open(path) as fh:
-        records = json.load(fh)
-    if not isinstance(records, list):
-        raise InputError(f"{path}: bounding-box manifest must be a JSON array")
     out: Dict[str, BoundingBox] = {}
-    for i, rec in enumerate(records):
+    for i, rec in enumerate(_load_records(path, "bounding-box")):
         _require_keys(rec, {"file", "x", "y", "w", "h"}, set(), f"{path}[{i}]")
-        out[rec["file"]] = BoundingBox(int(rec["x"]), int(rec["y"]), int(rec["w"]), int(rec["h"]))
+        _require_file_name(rec, f"{path}[{i}]")
+        out[rec["file"]] = _bbox(rec, f"{path}[{i}]")
     return out
 
 
 def load_dataset_manifest(path) -> List[Tuple[str, int, Optional[BoundingBox]]]:
     """JSON array of {file, label, bbox?} records; bbox is a nested {x,y,w,h}."""
-    with open(path) as fh:
-        records = json.load(fh)
-    if not isinstance(records, list):
-        raise InputError(f"{path}: dataset manifest must be a JSON array")
     out = []
-    for i, rec in enumerate(records):
+    for i, rec in enumerate(_load_records(path, "dataset")):
         _require_keys(rec, {"file", "label"}, {"bbox"}, f"{path}[{i}]")
+        _require_file_name(rec, f"{path}[{i}]")
         label = rec["label"]
         if label not in (0, 1):
             raise InputError(f"{path}[{i}]: label must be 0 or 1, got {label!r}")
         bbox = None
         if rec.get("bbox") is not None:
-            b = rec["bbox"]
-            _require_keys(b, {"x", "y", "w", "h"}, set(), f"{path}[{i}].bbox")
-            bbox = BoundingBox(int(b["x"]), int(b["y"]), int(b["w"]), int(b["h"]))
+            where = f"{path}[{i}].bbox"
+            _require_keys(rec["bbox"], {"x", "y", "w", "h"}, set(), where)
+            bbox = _bbox(rec["bbox"], where)
         out.append((rec["file"], int(label), bbox))
     return out
 

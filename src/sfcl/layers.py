@@ -1,15 +1,20 @@
 """Parameterized building blocks: convolutions, linear maps, batch norm.
 
-Each layer owns its tensors and reports them through ``trainables`` (updated
-by the optimizer) and ``buffers`` (non-trainable state such as batch-norm
-running statistics; serialized but never optimized). Construction order is
+Each layer owns its state as plain attributes, and one walker on ``Layer``
+reports it: a ``Tensor`` attribute is a trainable (updated by the optimizer),
+an ``np.ndarray`` attribute is a buffer (non-trainable state such as
+batch-norm running statistics; serialized but never optimized), and a
+``Layer`` attribute is walked recursively under ``prefix.attr``. Attribute
+declaration order is serialization order, and with it the Adam slot order and
+the ``.sfcl`` layout. A list attribute ``x`` yields ``x0, x1, ...``; ``None``
+is skipped, but still counts as a list index. Construction order is
 deterministic given the RNG, which keeps whole-model initialization
 reproducible from a single seed.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,13 +27,23 @@ def he_normal(rng: np.random.Generator, shape: tuple, fan_in: int, dtype) -> np.
 
 
 class Layer:
-    """Minimal parameter-container protocol."""
+    """Parameter container: every state attribute is found by ``_walk``."""
 
-    def trainables(self, prefix: str) -> List[Tuple[str, Tensor]]:
-        return []
+    def _walk(self, prefix: str) -> Iterator[Tuple[str, object]]:
+        for attr, value in vars(self).items():
+            parts = enumerate(value) if isinstance(value, list) else [("", value)]
+            for index, part in parts:
+                name = f"{prefix}.{attr}{index}"
+                if isinstance(part, Layer):
+                    yield from part._walk(name)
+                elif isinstance(part, (Tensor, np.ndarray)):
+                    yield name, part
 
-    def buffers(self, prefix: str) -> List[Tuple[str, np.ndarray]]:
-        return []
+    def trainables(self, prefix: str = "model") -> List[Tuple[str, Tensor]]:
+        return [(n, v) for n, v in self._walk(prefix) if isinstance(v, Tensor)]
+
+    def buffers(self, prefix: str = "model") -> List[Tuple[str, np.ndarray]]:
+        return [(n, v) for n, v in self._walk(prefix) if isinstance(v, np.ndarray)]
 
 
 class Conv2dLayer(Layer):
@@ -45,9 +60,6 @@ class Conv2dLayer(Layer):
     def forward(self, x: Tensor) -> Tensor:
         return T.conv2d(x, self.w, stride=self.stride, pad=self.pad)
 
-    def trainables(self, prefix):
-        return [(prefix + ".w", self.w)]
-
 
 class DepthwiseConv2dLayer(Layer):
     def __init__(self, channels: int, kernel: int, stride: int, pad: int,
@@ -60,9 +72,6 @@ class DepthwiseConv2dLayer(Layer):
 
     def forward(self, x: Tensor) -> Tensor:
         return T.depthwise_conv2d(x, self.w, stride=self.stride, pad=self.pad)
-
-    def trainables(self, prefix):
-        return [(prefix + ".w", self.w)]
 
 
 class Conv3dDepthLayer(Layer):
@@ -78,9 +87,6 @@ class Conv3dDepthLayer(Layer):
     def forward(self, x: Tensor) -> Tensor:
         return T.conv3d(x, self.w, stride_d=self.stride_d)
 
-    def trainables(self, prefix):
-        return [(prefix + ".w", self.w)]
-
 
 class LinearLayer(Layer):
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
@@ -94,12 +100,6 @@ class LinearLayer(Layer):
 
     def forward(self, x: Tensor) -> Tensor:
         return T.linear(x, self.w, self.b)
-
-    def trainables(self, prefix):
-        out = [(prefix + ".w", self.w)]
-        if self.b is not None:
-            out.append((prefix + ".b", self.b))
-        return out
 
 
 class BatchNormLayer(Layer):
@@ -115,13 +115,6 @@ class BatchNormLayer(Layer):
         return T.batchnorm(x, self.gamma, self.beta, self.running_mean,
                            self.running_var, mode=mode, update_running=update_running)
 
-    def trainables(self, prefix):
-        return [(prefix + ".gamma", self.gamma), (prefix + ".beta", self.beta)]
-
-    def buffers(self, prefix):
-        return [(prefix + ".running_mean", self.running_mean),
-                (prefix + ".running_var", self.running_var)]
-
 
 class ConvBnRelu(Layer):
     """conv -> BN -> relu, the stock block for the spatial stages."""
@@ -134,35 +127,20 @@ class ConvBnRelu(Layer):
     def forward(self, x: Tensor, mode: str, update_running=None) -> Tensor:
         return T.relu(self.bn.forward(self.conv.forward(x), mode, update_running))
 
-    def trainables(self, prefix):
-        return self.conv.trainables(prefix + ".conv") + self.bn.trainables(prefix + ".bn")
-
-    def buffers(self, prefix):
-        return self.bn.buffers(prefix + ".bn")
-
 
 class SeparableBlock(Layer):
     """Depthwise 3x3 then pointwise 1x1, each followed by BN and relu."""
 
     def __init__(self, c_in: int, c_out: int, stride: int,
                  rng: np.random.Generator, dtype=np.float32):
-        self.depthwise = DepthwiseConv2dLayer(c_in, 3, stride, 1, rng, dtype)
+        self.dw = DepthwiseConv2dLayer(c_in, 3, stride, 1, rng, dtype)
         self.bn1 = BatchNormLayer(c_in, dtype)
-        self.pointwise = Conv2dLayer(c_in, c_out, 1, 1, 0, rng, dtype)
+        self.pw = Conv2dLayer(c_in, c_out, 1, 1, 0, rng, dtype)
         self.bn2 = BatchNormLayer(c_out, dtype)
 
     def forward(self, x: Tensor, mode: str, update_running=None) -> Tensor:
-        h = T.relu(self.bn1.forward(self.depthwise.forward(x), mode, update_running))
-        return T.relu(self.bn2.forward(self.pointwise.forward(h), mode, update_running))
-
-    def trainables(self, prefix):
-        return (self.depthwise.trainables(prefix + ".dw")
-                + self.bn1.trainables(prefix + ".bn1")
-                + self.pointwise.trainables(prefix + ".pw")
-                + self.bn2.trainables(prefix + ".bn2"))
-
-    def buffers(self, prefix):
-        return self.bn1.buffers(prefix + ".bn1") + self.bn2.buffers(prefix + ".bn2")
+        h = T.relu(self.bn1.forward(self.dw.forward(x), mode, update_running))
+        return T.relu(self.bn2.forward(self.pw.forward(h), mode, update_running))
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

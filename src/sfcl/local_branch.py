@@ -83,38 +83,23 @@ class Sbcm(Layer):
 
     def __init__(self, cfg: SbcmConfig, rng: np.random.Generator, dtype=np.float32):
         self.cfg = cfg
-        self.convs = []
-        self.bns = []
         for i, (k, s) in enumerate(zip(cfg.kernels, cfg.strides)):
-            self.convs.append(Conv3dDepthLayer(cfg.widths[i], cfg.widths[i + 1], k, s, rng, dtype))
-            self.bns.append(BatchNormLayer(cfg.widths[i + 1], dtype) if cfg.batchnorm else None)
+            setattr(self, f"conv{i}",
+                    Conv3dDepthLayer(cfg.widths[i], cfg.widths[i + 1], k, s, rng, dtype))
+            setattr(self, f"bn{i}", BatchNormLayer(cfg.widths[i + 1], dtype) if cfg.batchnorm else None)
 
     def forward(self, x: Tensor, mode: str = "infer", update_running=None) -> Tensor:
         if x.shape[-3] != SBCM_INPUT_BANDS:
             raise ShapeError(f"band axis must be {SBCM_INPUT_BANDS}, got input shape {x.shape}")
         squeeze = x.ndim == 4
         h = T.reshape(x, (1,) + x.shape) if squeeze else x
-        for conv, bn in zip(self.convs, self.bns):
-            h = conv.forward(h)
+        for i in range(len(self.cfg.kernels)):
+            h = getattr(self, f"conv{i}").forward(h)
+            bn = getattr(self, f"bn{i}")
             if bn is not None:
                 h = bn.forward(h, mode, update_running)
             h = T.relu(h)
         return T.reshape(h, h.shape[1:]) if squeeze else h
-
-    def trainables(self, prefix):
-        out = []
-        for i, (conv, bn) in enumerate(zip(self.convs, self.bns)):
-            out += conv.trainables(f"{prefix}.conv{i}")
-            if bn is not None:
-                out += bn.trainables(f"{prefix}.bn{i}")
-        return out
-
-    def buffers(self, prefix):
-        out = []
-        for i, bn in enumerate(self.bns):
-            if bn is not None:
-                out += bn.buffers(f"{prefix}.bn{i}")
-        return out
 
 
 def flatten_bands(x: Tensor) -> Tensor:
@@ -135,7 +120,7 @@ class CnnF(Layer):
 
     def __init__(self, cfg: CnnfConfig, rng: np.random.Generator, dtype=np.float32):
         self.cfg = cfg
-        self.blocks = [SeparableBlock(cfg.widths[i], cfg.widths[i + 1], s, rng, dtype)
+        self.block = [SeparableBlock(cfg.widths[i], cfg.widths[i + 1], s, rng, dtype)
                        for i, s in enumerate(cfg.strides)]
 
     def forward(self, x: Tensor, mode: str = "infer", update_running=None) -> Tensor:
@@ -143,21 +128,9 @@ class CnnF(Layer):
             raise ShapeError(f"expected {self.cfg.widths[0]} input channels, got shape {x.shape}")
         squeeze = x.ndim == 3
         h = T.reshape(x, (1,) + x.shape) if squeeze else x
-        for i, block in enumerate(self.blocks):
+        for i, block in enumerate(self.block):
             if h.shape[-1] < 1 or h.shape[-2] < 1:
                 raise ConfigError(f"spatial dims collapsed before block {i}: shape {h.shape}")
             h = block.forward(h, mode, update_running)
         pooled = global_avg_pool(h)
         return T.reshape(pooled, pooled.shape[1:]) if squeeze else pooled
-
-    def trainables(self, prefix):
-        out = []
-        for i, block in enumerate(self.blocks):
-            out += block.trainables(f"{prefix}.block{i}")
-        return out
-
-    def buffers(self, prefix):
-        out = []
-        for i, block in enumerate(self.blocks):
-            out += block.buffers(f"{prefix}.block{i}")
-        return out

@@ -13,7 +13,7 @@ descriptor gate can be disabled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -189,28 +189,6 @@ class Detector(Layer):
         return self.classifier.forward(fused)
 
     # -- parameter bookkeeping --------------------------------------------
-
-    def trainables(self, prefix: str = "model") -> List[Tuple[str, Tensor]]:
-        out = self.backbone.trainables(f"{prefix}.backbone")
-        if self.sbcm is not None:
-            out += self.sbcm.trainables(f"{prefix}.sbcm")
-        out += self.cnnf.trainables(f"{prefix}.cnnf")
-        if self.faae is not None:
-            out += self.faae.trainables(f"{prefix}.faae")
-        if self.hcma is not None:
-            out += self.hcma.trainables(f"{prefix}.hcma")
-        return out + self.classifier.trainables(f"{prefix}.classifier")
-
-    def buffers(self, prefix: str = "model") -> List[Tuple[str, np.ndarray]]:
-        out = self.backbone.buffers(f"{prefix}.backbone")
-        if self.sbcm is not None:
-            out += self.sbcm.buffers(f"{prefix}.sbcm")
-        out += self.cnnf.buffers(f"{prefix}.cnnf")
-        if self.faae is not None:
-            out += self.faae.buffers(f"{prefix}.faae")
-        if self.hcma is not None:
-            out += self.hcma.buffers(f"{prefix}.hcma")
-        return out
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
         """Ordered name -> array view over every serializable tensor."""

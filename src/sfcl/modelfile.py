@@ -17,6 +17,7 @@ Save -> load -> save reproduces the file byte for byte and preserves order.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Dict
 
@@ -81,14 +82,17 @@ def load_model(path) -> Dict[str, np.ndarray]:
     out: Dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        raw_name = r.take(name_len)
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: tensor name {raw_name[:40]!r} is not UTF-8") from None
         code, ndim = r.unpack("<BB")
         if code not in _CODE_DTYPES:
             raise FormatError(f"{path}: unknown dtype code {code} for tensor {name!r}")
         dims = r.unpack(f"<{ndim}I")
         dtype = _CODE_DTYPES[code]
-        n = int(np.prod(dims)) if ndim else 1
-        data = np.frombuffer(r.take(n * dtype.itemsize), dtype=dtype)
+        data = np.frombuffer(r.take(math.prod(dims) * dtype.itemsize), dtype=dtype)
         out[name] = data.reshape(dims).astype(dtype.newbyteorder("="))
     if r.pos != len(blob):
         raise FormatError(f"{path}: {len(blob) - r.pos} trailing bytes after last tensor")

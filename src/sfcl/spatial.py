@@ -69,19 +69,3 @@ class SpatialBackbone(Layer):
                 raise ConfigError(f"spatial dims collapsed before deep stage {i}: shape {x.shape}")
             x = stage.forward(x, mode, update_running)
         return self.head.forward(global_avg_pool(x))
-
-    def trainables(self, prefix):
-        out = []
-        for i, stage in enumerate(self.stem):
-            out += stage.trainables(f"{prefix}.stem{i}")
-        for i, stage in enumerate(self.deep):
-            out += stage.trainables(f"{prefix}.deep{i}")
-        return out + self.head.trainables(f"{prefix}.head")
-
-    def buffers(self, prefix):
-        out = []
-        for i, stage in enumerate(self.stem):
-            out += stage.buffers(f"{prefix}.stem{i}")
-        for i, stage in enumerate(self.deep):
-            out += stage.buffers(f"{prefix}.deep{i}")
-        return out

@@ -50,10 +50,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def dims(self) -> tuple:
-        return self.data.shape
-
-    @property
     def ndim(self) -> int:
         return self.data.ndim
 
@@ -102,9 +98,6 @@ class Tensor:
     def __radd__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -113,9 +106,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __abs__(self):
-        return absolute(self)
 
 
 class Tape:
@@ -245,18 +235,6 @@ def add(a: Tensor, b) -> Tensor:
     return _node(a.data + b.data, "add", (a, b), bw)
 
 
-def sub(a: Tensor, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _coerce_operand(a, b)
-    b = _coerce_operand(b, a)
-    _check_same_precision("sub", a, b)
-    _binary_layout("sub", a, b)
-
-    def bw(g):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
-
-    return _node(a.data - b.data, "sub", (a, b), bw)
-
-
 def mul(a: Tensor, b) -> Tensor:
     a = a if isinstance(a, Tensor) else _coerce_operand(a, b)
     b = _coerce_operand(b, a)
@@ -268,16 +246,6 @@ def mul(a: Tensor, b) -> Tensor:
         return _reduce_to(g * bd, a.shape), _reduce_to(g * ad, b.shape)
 
     return _node(ad * bd, "mul", (a, b), bw)
-
-
-def absolute(x: Tensor) -> Tensor:
-    """|x| elementwise; the gradient at 0 is defined as 0."""
-    sign = np.sign(x.data)
-
-    def bw(g):
-        return (g * sign,)
-
-    return _node(np.abs(x.data), "abs", (x,), bw)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -415,36 +383,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(out)
 
     return _node(np.concatenate([p.data for p in parts], axis=axis), "concat", parts, bw)
-
-
-def zero_pad(x: Tensor, axis: int, count: int) -> Tensor:
-    """Append `count` zero slabs at the end of `axis`."""
-    if count < 0:
-        raise UsageError(f"zero_pad count must be non-negative, got {count}")
-    width = [(0, 0)] * x.ndim
-    width[axis] = (0, count)
-    orig = x.shape[axis]
-
-    def bw(g):
-        sl = [slice(None)] * g.ndim
-        sl[axis] = slice(0, orig)
-        return (g[tuple(sl)],)
-
-    return _node(np.pad(x.data, width), "zero_pad", (x,), bw)
-
-
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    sl = [slice(None)] * x.ndim
-    sl[axis] = slice(start, stop)
-    sl = tuple(sl)
-    shape = x.shape
-
-    def bw(g):
-        full = np.zeros(shape, dtype=g.dtype)
-        full[sl] = g
-        return (full,)
-
-    return _node(x.data[sl].copy(), "slice", (x,), bw)
 
 
 # -- linear algebra --------------------------------------------------------
@@ -611,16 +549,12 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
 def conv3d(x: Tensor, w: Tensor, stride_d: int = 1) -> Tensor:
     """Depth-only 3D cross-correlation: kernels span the depth axis, spatial extent 1x1.
 
-    x: [C_in,D,H,W] or [N,C_in,D,H,W]; w: [C_out,C_in,kd] (a trailing 1x1 is accepted).
+    x: [C_in,D,H,W] or [N,C_in,D,H,W]; w: [C_out,C_in,kd].
     """
     _check_same_precision("conv3d", x, w)
     if stride_d < 1:
         raise UsageError(f"conv3d: stride must be >= 1, got {stride_d}")
     wd = w.data
-    if wd.ndim == 5:
-        if wd.shape[3:] != (1, 1):
-            raise ShapeError(f"conv3d: spatial kernel extent must be 1x1, got {w.shape}")
-        wd = wd[:, :, :, 0, 0]
     if wd.ndim != 3:
         raise ShapeError(f"conv3d: expected kernel [C_out,C_in,kd], got {w.shape}")
     squeeze = x.ndim == 4
@@ -641,8 +575,6 @@ def conv3d(x: Tensor, w: Tensor, stride_d: int = 1) -> Tensor:
     def bw(g):
         gd = g[None] if squeeze else g
         dwk = np.einsum("nodhw,ncdkhw->ock", gd, xw, optimize=True)
-        if w.ndim == 5:
-            dwk = dwk[:, :, :, None, None]
         dxw = np.einsum("nodhw,ock->ncdkhw", gd, wd, optimize=True)
         dx = np.zeros_like(xd)
         np.add.at(dx, (slice(None), slice(None), idx), dxw)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -82,6 +83,43 @@ class TestManifests:
         with pytest.raises(InputError):
             load_dataset_manifest(path)
 
+    @pytest.mark.parametrize("loader", [load_bbox_manifest, load_dataset_manifest])
+    def test_invalid_json(self, tmp_path, loader):
+        path = tmp_path / "manifest.json"
+        path.write_text('[{"file": "a.ppm",')
+        with pytest.raises(InputError, match="not valid JSON"):
+            loader(path)
+
+    @pytest.mark.parametrize("loader", [load_bbox_manifest, load_dataset_manifest])
+    def test_non_object_record(self, tmp_path, loader):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([7]))
+        with pytest.raises(InputError, match=r"manifest.json\[0\]"):
+            loader(path)
+
+    @pytest.mark.parametrize("loader, record", [
+        (load_bbox_manifest, {"file": ["a.ppm"], "x": 0, "y": 0, "w": 16, "h": 16}),
+        (load_dataset_manifest, {"file": 5, "label": 1}),
+    ])
+    def test_non_string_file(self, tmp_path, loader, record):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([record]))
+        with pytest.raises(InputError, match="file must be a string"):
+            loader(path)
+
+    def test_bbox_manifest_non_integer_field(self, tmp_path):
+        path = tmp_path / "boxes.json"
+        path.write_text(json.dumps([{"file": "a.ppm", "x": "left", "y": 0, "w": 16, "h": 16}]))
+        with pytest.raises(InputError, match=r"boxes.json\[0\]: x"):
+            load_bbox_manifest(path)
+
+    def test_dataset_manifest_non_integer_bbox_field(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([{"file": "a.ppm", "label": 1,
+                                     "bbox": {"x": 0, "y": 0, "w": [16], "h": 16}}]))
+        with pytest.raises(InputError, match=r"manifest.json\[0\].bbox: w"):
+            load_dataset_manifest(path)
+
 
 class TestModelFile:
     def test_save_load_save_byte_identical(self, tmp_path, rng):
@@ -123,6 +161,24 @@ class TestModelFile:
     def test_non_float_rejected(self, tmp_path):
         with pytest.raises(UsageError):
             save_model(tmp_path / "i.sfcl", {"idx": np.arange(3)})
+
+    def test_non_utf8_name(self, tmp_path):
+        path = tmp_path / "name.sfcl"
+        path.write_bytes(_model_header(1) + struct.pack("<H", 2) + b"\xff\xfe"
+                         + struct.pack("<BB", 0, 0) + b"\x00" * 4)
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_model(path)
+
+    def test_overflowing_dims(self, tmp_path):
+        path = tmp_path / "dims.sfcl"
+        path.write_bytes(_model_header(1) + struct.pack("<H", 1) + b"w"
+                         + struct.pack("<BB", 0, 4) + struct.pack("<4I", *[0xFFFFFFFF] * 4))
+        with pytest.raises(FormatError, match="truncated"):
+            load_model(path)
+
+
+def _model_header(count):
+    return b"SFCL" + struct.pack("<II", 1, count)
 
 
 class TestRunConfig:
@@ -287,6 +343,19 @@ class TestCli:
                          "--model", str(tmp_path / "nope.sfcl")])
         assert code == 2
         capsys.readouterr()
+
+    def test_eval_malformed_model_is_input_error(self, tmp_path, capsys):
+        cfg = _tiny_config(tmp_path)
+        data = str(tmp_path / "data")
+        assert cli.main(["dataset-synth", "--out", data, "--config", cfg]) == 0
+        bad = tmp_path / "bad.sfcl"
+        bad.write_bytes(_model_header(1) + struct.pack("<H", 1) + b"\x80")
+        capsys.readouterr()
+        code = cli.main(["eval", "--config", cfg, "--data", data, "--model", str(bad)])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["type"] == "FormatError"
 
     def test_thread_env_validation(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SFCL_THREADS", "zero")

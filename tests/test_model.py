@@ -7,6 +7,7 @@ from sfcl.checks import tiny_detector_config
 from sfcl.errors import ConfigError, InputError
 from sfcl.frequency import PlanarImage
 from sfcl.fusion import HcmaConfig
+from sfcl.local_branch import Sbcm, SbcmConfig
 from sfcl.model import (Detector, DetectorConfig, desk_detector_config,
                         extract_frontend)
 
@@ -100,3 +101,292 @@ class TestStateRoundTrip:
         model.forward(batch, mode="train")
         changed = any(not np.array_equal(before[k], v) for k, v in model.buffers())
         assert changed
+
+
+# Parameter keys and shapes of the desk profile and two ablations. Adam slot
+# order and the .sfcl layout follow these lists, so they must never drift.
+DESK_TRAINABLES = [
+    ("model.backbone.stem0.conv.w", (16, 3, 3, 3)),
+    ("model.backbone.stem0.bn.gamma", (16,)),
+    ("model.backbone.stem0.bn.beta", (16,)),
+    ("model.backbone.stem1.conv.w", (24, 16, 3, 3)),
+    ("model.backbone.stem1.bn.gamma", (24,)),
+    ("model.backbone.stem1.bn.beta", (24,)),
+    ("model.backbone.stem2.conv.w", (32, 24, 3, 3)),
+    ("model.backbone.stem2.bn.gamma", (32,)),
+    ("model.backbone.stem2.bn.beta", (32,)),
+    ("model.backbone.deep0.conv.w", (48, 32, 3, 3)),
+    ("model.backbone.deep0.bn.gamma", (48,)),
+    ("model.backbone.deep0.bn.beta", (48,)),
+    ("model.backbone.head.w", (48, 256)),
+    ("model.backbone.head.b", (256,)),
+    ("model.sbcm.conv0.w", (8, 3, 7)),
+    ("model.sbcm.bn0.gamma", (8,)),
+    ("model.sbcm.bn0.beta", (8,)),
+    ("model.sbcm.conv1.w", (16, 8, 5)),
+    ("model.sbcm.bn1.gamma", (16,)),
+    ("model.sbcm.bn1.beta", (16,)),
+    ("model.sbcm.conv2.w", (64, 16, 3)),
+    ("model.sbcm.bn2.gamma", (64,)),
+    ("model.sbcm.bn2.beta", (64,)),
+    ("model.cnnf.block0.dw.w", (192, 3, 3)),
+    ("model.cnnf.block0.bn1.gamma", (192,)),
+    ("model.cnnf.block0.bn1.beta", (192,)),
+    ("model.cnnf.block0.pw.w", (64, 192, 1, 1)),
+    ("model.cnnf.block0.bn2.gamma", (64,)),
+    ("model.cnnf.block0.bn2.beta", (64,)),
+    ("model.cnnf.block1.dw.w", (64, 3, 3)),
+    ("model.cnnf.block1.bn1.gamma", (64,)),
+    ("model.cnnf.block1.bn1.beta", (64,)),
+    ("model.cnnf.block1.pw.w", (128, 64, 1, 1)),
+    ("model.cnnf.block1.bn2.gamma", (128,)),
+    ("model.cnnf.block1.bn2.beta", (128,)),
+    ("model.cnnf.block2.dw.w", (128, 3, 3)),
+    ("model.cnnf.block2.bn1.gamma", (128,)),
+    ("model.cnnf.block2.bn1.beta", (128,)),
+    ("model.cnnf.block2.pw.w", (256, 128, 1, 1)),
+    ("model.cnnf.block2.bn2.gamma", (256,)),
+    ("model.cnnf.block2.bn2.beta", (256,)),
+    ("model.faae.q_f.w", (192, 32)),
+    ("model.faae.q_s.w", (32, 32)),
+    ("model.faae.k_f.w", (192, 32)),
+    ("model.faae.k_s.w", (32, 32)),
+    ("model.faae.v_f.w", (192, 32)),
+    ("model.faae.out.w", (32, 32)),
+    ("model.faae.bn.gamma", (32,)),
+    ("model.faae.bn.beta", (32,)),
+    ("model.faae.gamma_s", ()),
+    ("model.hcma.proj_s.w", (256, 256)),
+    ("model.hcma.proj_s.b", (256,)),
+    ("model.hcma.proj_f.w", (256, 256)),
+    ("model.hcma.proj_f.b", (256,)),
+    ("model.hcma.w_q.w", (32, 32)),
+    ("model.hcma.w_k.w", (32, 32)),
+    ("model.hcma.w_v.w", (32, 32)),
+    ("model.hcma.residual.w", (256, 256)),
+    ("model.hcma.gate.w", (2304, 256)),
+    ("model.hcma.gate.b", (256,)),
+    ("model.hcma.bn.gamma", (256,)),
+    ("model.hcma.bn.beta", (256,)),
+    ("model.classifier.head.w", (256, 1)),
+    ("model.classifier.head.b", (1,)),
+]
+
+DESK_BUFFERS = [
+    ("model.backbone.stem0.bn.running_mean", (16,)),
+    ("model.backbone.stem0.bn.running_var", (16,)),
+    ("model.backbone.stem1.bn.running_mean", (24,)),
+    ("model.backbone.stem1.bn.running_var", (24,)),
+    ("model.backbone.stem2.bn.running_mean", (32,)),
+    ("model.backbone.stem2.bn.running_var", (32,)),
+    ("model.backbone.deep0.bn.running_mean", (48,)),
+    ("model.backbone.deep0.bn.running_var", (48,)),
+    ("model.sbcm.bn0.running_mean", (8,)),
+    ("model.sbcm.bn0.running_var", (8,)),
+    ("model.sbcm.bn1.running_mean", (16,)),
+    ("model.sbcm.bn1.running_var", (16,)),
+    ("model.sbcm.bn2.running_mean", (64,)),
+    ("model.sbcm.bn2.running_var", (64,)),
+    ("model.cnnf.block0.bn1.running_mean", (192,)),
+    ("model.cnnf.block0.bn1.running_var", (192,)),
+    ("model.cnnf.block0.bn2.running_mean", (64,)),
+    ("model.cnnf.block0.bn2.running_var", (64,)),
+    ("model.cnnf.block1.bn1.running_mean", (64,)),
+    ("model.cnnf.block1.bn1.running_var", (64,)),
+    ("model.cnnf.block1.bn2.running_mean", (128,)),
+    ("model.cnnf.block1.bn2.running_var", (128,)),
+    ("model.cnnf.block2.bn1.running_mean", (128,)),
+    ("model.cnnf.block2.bn1.running_var", (128,)),
+    ("model.cnnf.block2.bn2.running_mean", (256,)),
+    ("model.cnnf.block2.bn2.running_var", (256,)),
+    ("model.faae.bn.running_mean", (32,)),
+    ("model.faae.bn.running_var", (32,)),
+    ("model.hcma.bn.running_mean", (256,)),
+    ("model.hcma.bn.running_var", (256,)),
+]
+
+NO_SBCM_TRAINABLES = [
+    ("model.backbone.stem0.conv.w", (16, 3, 3, 3)),
+    ("model.backbone.stem0.bn.gamma", (16,)),
+    ("model.backbone.stem0.bn.beta", (16,)),
+    ("model.backbone.stem1.conv.w", (24, 16, 3, 3)),
+    ("model.backbone.stem1.bn.gamma", (24,)),
+    ("model.backbone.stem1.bn.beta", (24,)),
+    ("model.backbone.stem2.conv.w", (32, 24, 3, 3)),
+    ("model.backbone.stem2.bn.gamma", (32,)),
+    ("model.backbone.stem2.bn.beta", (32,)),
+    ("model.backbone.deep0.conv.w", (48, 32, 3, 3)),
+    ("model.backbone.deep0.bn.gamma", (48,)),
+    ("model.backbone.deep0.bn.beta", (48,)),
+    ("model.backbone.head.w", (48, 256)),
+    ("model.backbone.head.b", (256,)),
+    ("model.cnnf.block0.dw.w", (192, 3, 3)),
+    ("model.cnnf.block0.bn1.gamma", (192,)),
+    ("model.cnnf.block0.bn1.beta", (192,)),
+    ("model.cnnf.block0.pw.w", (64, 192, 1, 1)),
+    ("model.cnnf.block0.bn2.gamma", (64,)),
+    ("model.cnnf.block0.bn2.beta", (64,)),
+    ("model.cnnf.block1.dw.w", (64, 3, 3)),
+    ("model.cnnf.block1.bn1.gamma", (64,)),
+    ("model.cnnf.block1.bn1.beta", (64,)),
+    ("model.cnnf.block1.pw.w", (128, 64, 1, 1)),
+    ("model.cnnf.block1.bn2.gamma", (128,)),
+    ("model.cnnf.block1.bn2.beta", (128,)),
+    ("model.cnnf.block2.dw.w", (128, 3, 3)),
+    ("model.cnnf.block2.bn1.gamma", (128,)),
+    ("model.cnnf.block2.bn1.beta", (128,)),
+    ("model.cnnf.block2.pw.w", (256, 128, 1, 1)),
+    ("model.cnnf.block2.bn2.gamma", (256,)),
+    ("model.cnnf.block2.bn2.beta", (256,)),
+    ("model.faae.q_f.w", (192, 32)),
+    ("model.faae.q_s.w", (32, 32)),
+    ("model.faae.k_f.w", (192, 32)),
+    ("model.faae.k_s.w", (32, 32)),
+    ("model.faae.v_f.w", (192, 32)),
+    ("model.faae.out.w", (32, 32)),
+    ("model.faae.bn.gamma", (32,)),
+    ("model.faae.bn.beta", (32,)),
+    ("model.faae.gamma_s", ()),
+    ("model.hcma.proj_s.w", (256, 256)),
+    ("model.hcma.proj_s.b", (256,)),
+    ("model.hcma.proj_f.w", (256, 256)),
+    ("model.hcma.proj_f.b", (256,)),
+    ("model.hcma.w_q.w", (32, 32)),
+    ("model.hcma.w_k.w", (32, 32)),
+    ("model.hcma.w_v.w", (32, 32)),
+    ("model.hcma.residual.w", (256, 256)),
+    ("model.hcma.gate.w", (2304, 256)),
+    ("model.hcma.gate.b", (256,)),
+    ("model.hcma.bn.gamma", (256,)),
+    ("model.hcma.bn.beta", (256,)),
+    ("model.classifier.head.w", (256, 1)),
+    ("model.classifier.head.b", (1,)),
+]
+
+NO_SBCM_BUFFERS = [
+    ("model.backbone.stem0.bn.running_mean", (16,)),
+    ("model.backbone.stem0.bn.running_var", (16,)),
+    ("model.backbone.stem1.bn.running_mean", (24,)),
+    ("model.backbone.stem1.bn.running_var", (24,)),
+    ("model.backbone.stem2.bn.running_mean", (32,)),
+    ("model.backbone.stem2.bn.running_var", (32,)),
+    ("model.backbone.deep0.bn.running_mean", (48,)),
+    ("model.backbone.deep0.bn.running_var", (48,)),
+    ("model.cnnf.block0.bn1.running_mean", (192,)),
+    ("model.cnnf.block0.bn1.running_var", (192,)),
+    ("model.cnnf.block0.bn2.running_mean", (64,)),
+    ("model.cnnf.block0.bn2.running_var", (64,)),
+    ("model.cnnf.block1.bn1.running_mean", (64,)),
+    ("model.cnnf.block1.bn1.running_var", (64,)),
+    ("model.cnnf.block1.bn2.running_mean", (128,)),
+    ("model.cnnf.block1.bn2.running_var", (128,)),
+    ("model.cnnf.block2.bn1.running_mean", (128,)),
+    ("model.cnnf.block2.bn1.running_var", (128,)),
+    ("model.cnnf.block2.bn2.running_mean", (256,)),
+    ("model.cnnf.block2.bn2.running_var", (256,)),
+    ("model.faae.bn.running_mean", (32,)),
+    ("model.faae.bn.running_var", (32,)),
+    ("model.hcma.bn.running_mean", (256,)),
+    ("model.hcma.bn.running_var", (256,)),
+]
+
+CONCAT_TRAINABLES = [
+    ("model.backbone.stem0.conv.w", (16, 3, 3, 3)),
+    ("model.backbone.stem0.bn.gamma", (16,)),
+    ("model.backbone.stem0.bn.beta", (16,)),
+    ("model.backbone.stem1.conv.w", (24, 16, 3, 3)),
+    ("model.backbone.stem1.bn.gamma", (24,)),
+    ("model.backbone.stem1.bn.beta", (24,)),
+    ("model.backbone.stem2.conv.w", (32, 24, 3, 3)),
+    ("model.backbone.stem2.bn.gamma", (32,)),
+    ("model.backbone.stem2.bn.beta", (32,)),
+    ("model.backbone.deep0.conv.w", (48, 32, 3, 3)),
+    ("model.backbone.deep0.bn.gamma", (48,)),
+    ("model.backbone.deep0.bn.beta", (48,)),
+    ("model.backbone.head.w", (48, 256)),
+    ("model.backbone.head.b", (256,)),
+    ("model.sbcm.conv0.w", (8, 3, 7)),
+    ("model.sbcm.bn0.gamma", (8,)),
+    ("model.sbcm.bn0.beta", (8,)),
+    ("model.sbcm.conv1.w", (16, 8, 5)),
+    ("model.sbcm.bn1.gamma", (16,)),
+    ("model.sbcm.bn1.beta", (16,)),
+    ("model.sbcm.conv2.w", (64, 16, 3)),
+    ("model.sbcm.bn2.gamma", (64,)),
+    ("model.sbcm.bn2.beta", (64,)),
+    ("model.cnnf.block0.dw.w", (192, 3, 3)),
+    ("model.cnnf.block0.bn1.gamma", (192,)),
+    ("model.cnnf.block0.bn1.beta", (192,)),
+    ("model.cnnf.block0.pw.w", (64, 192, 1, 1)),
+    ("model.cnnf.block0.bn2.gamma", (64,)),
+    ("model.cnnf.block0.bn2.beta", (64,)),
+    ("model.cnnf.block1.dw.w", (64, 3, 3)),
+    ("model.cnnf.block1.bn1.gamma", (64,)),
+    ("model.cnnf.block1.bn1.beta", (64,)),
+    ("model.cnnf.block1.pw.w", (128, 64, 1, 1)),
+    ("model.cnnf.block1.bn2.gamma", (128,)),
+    ("model.cnnf.block1.bn2.beta", (128,)),
+    ("model.cnnf.block2.dw.w", (128, 3, 3)),
+    ("model.cnnf.block2.bn1.gamma", (128,)),
+    ("model.cnnf.block2.bn1.beta", (128,)),
+    ("model.cnnf.block2.pw.w", (256, 128, 1, 1)),
+    ("model.cnnf.block2.bn2.gamma", (256,)),
+    ("model.cnnf.block2.bn2.beta", (256,)),
+    ("model.classifier.head.w", (2816, 1)),
+    ("model.classifier.head.b", (1,)),
+]
+
+CONCAT_BUFFERS = [
+    ("model.backbone.stem0.bn.running_mean", (16,)),
+    ("model.backbone.stem0.bn.running_var", (16,)),
+    ("model.backbone.stem1.bn.running_mean", (24,)),
+    ("model.backbone.stem1.bn.running_var", (24,)),
+    ("model.backbone.stem2.bn.running_mean", (32,)),
+    ("model.backbone.stem2.bn.running_var", (32,)),
+    ("model.backbone.deep0.bn.running_mean", (48,)),
+    ("model.backbone.deep0.bn.running_var", (48,)),
+    ("model.sbcm.bn0.running_mean", (8,)),
+    ("model.sbcm.bn0.running_var", (8,)),
+    ("model.sbcm.bn1.running_mean", (16,)),
+    ("model.sbcm.bn1.running_var", (16,)),
+    ("model.sbcm.bn2.running_mean", (64,)),
+    ("model.sbcm.bn2.running_var", (64,)),
+    ("model.cnnf.block0.bn1.running_mean", (192,)),
+    ("model.cnnf.block0.bn1.running_var", (192,)),
+    ("model.cnnf.block0.bn2.running_mean", (64,)),
+    ("model.cnnf.block0.bn2.running_var", (64,)),
+    ("model.cnnf.block1.bn1.running_mean", (64,)),
+    ("model.cnnf.block1.bn1.running_var", (64,)),
+    ("model.cnnf.block1.bn2.running_mean", (128,)),
+    ("model.cnnf.block1.bn2.running_var", (128,)),
+    ("model.cnnf.block2.bn1.running_mean", (128,)),
+    ("model.cnnf.block2.bn1.running_var", (128,)),
+    ("model.cnnf.block2.bn2.running_mean", (256,)),
+    ("model.cnnf.block2.bn2.running_var", (256,)),
+]
+
+
+def _keys(pairs):
+    return [(name, tuple(v.shape)) for name, v in pairs]
+
+
+class TestParameterKeys:
+    @pytest.mark.parametrize("overrides, trainables, buffers", [
+        ({}, DESK_TRAINABLES, DESK_BUFFERS),
+        ({"use_sbcm": False}, NO_SBCM_TRAINABLES, NO_SBCM_BUFFERS),
+        ({"fusion_mode": "concat"}, CONCAT_TRAINABLES, CONCAT_BUFFERS),
+    ], ids=["desk", "no_sbcm", "concat"])
+    def test_detector_keys_match_snapshot(self, overrides, trainables, buffers):
+        model = Detector(desk_detector_config(**overrides))
+        assert _keys(model.trainables()) == trainables
+        assert _keys(model.buffers()) == buffers
+        assert list(model.state_arrays()) == [n for n, _ in trainables + buffers]
+
+    def test_sbcm_without_batchnorm_keeps_conv_indices(self):
+        sbcm = Sbcm(SbcmConfig(batchnorm=False), np.random.default_rng(0))
+        assert _keys(sbcm.trainables("sbcm")) == [
+            ("sbcm.conv0.w", (16, 3, 7)),
+            ("sbcm.conv1.w", (32, 16, 5)),
+            ("sbcm.conv2.w", (64, 32, 3)),
+        ]
+        assert sbcm.buffers("sbcm") == []

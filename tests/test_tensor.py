@@ -136,9 +136,6 @@ class TestSoftmax:
 
 
 class TestElementwise:
-    def test_abs(self):
-        assert np.array_equal(T.absolute(Tensor([-1.0, 0.0, 2.0])).data, [1.0, 0.0, 2.0])
-
     def test_sigmoid_at_zero(self):
         assert T.sigmoid(Tensor([0.0])).data[0] == 0.5
 
@@ -201,22 +198,11 @@ class TestStructural:
         with pytest.raises(ShapeError):
             T.concat([Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 3)))], axis=0)
 
-    def test_zero_pad_band_axis(self, rng):
-        x = rng.standard_normal((3, 63, 4, 4))
-        out = T.zero_pad(Tensor(x), axis=1, count=1)
-        assert out.data.shape == (3, 64, 4, 4)
-        assert np.array_equal(out.data[:, :63], x)
-        assert (out.data[:, 63] == 0).all()
-
     def test_transpose_round_trip(self, rng):
         x = rng.standard_normal((2, 3, 4))
         out = T.transpose(T.transpose(Tensor(x), (2, 0, 1)), (1, 2, 0)).data
         assert np.array_equal(out, x)
 
-    def test_slice_axis(self, rng):
-        x = rng.standard_normal((4, 5))
-        out = T.slice_axis(Tensor(x), axis=1, start=1, stop=3)
-        assert np.array_equal(out.data, x[:, 1:3])
 
 
 class TestBatchnorm:
@@ -332,9 +318,7 @@ def _op_cases(rng):
     bias = rng.standard_normal(4)
     return {
         "add": (lambda x: T.add(x, T.mul(x, 0.5)), (3, 4)),
-        "sub": (lambda x: T.sub(x, T.mul(x, x)), (3, 4)),
         "mul": (lambda x: T.mul(x, T.add(x, 1.0)), (3, 4)),
-        "abs": (lambda x: T.absolute(x), (3, 4)),
         "relu": (lambda x: T.relu(x), (3, 4)),
         "sigmoid": (lambda x: T.sigmoid(x), (3, 4)),
         "matmul": (lambda x: T.matmul(x, Tensor(wm)), (4, 4)),
@@ -347,8 +331,6 @@ def _op_cases(rng):
         "reshape": (lambda x: T.reshape(x, (4, 3)), (3, 4)),
         "transpose": (lambda x: T.transpose(x, (1, 0)), (3, 4)),
         "concat": (lambda x: T.concat([x, T.mul(x, 2.0)], axis=0), (2, 3)),
-        "zero_pad": (lambda x: T.zero_pad(x, 1, 2), (2, 3)),
-        "slice": (lambda x: T.slice_axis(x, 1, 1, 3), (2, 4)),
         "linear": (lambda x: T.linear(x, Tensor(wm), Tensor(bias)), (3, 4)),
         "bce": (lambda x: T.bce_with_logits(x, np.array([1.0, 0.0, 1.0])), (3,)),
     }
@@ -363,9 +345,6 @@ def test_every_op_passes_grad_check(seed):
 
 
 def test_relu_abs_gradient_at_zero_is_zero():
-    x = Tensor([0.0, -1.0, 1.0], requires_grad=True)
-    T.backward(T.reduce_sum(T.absolute(x)))
-    assert np.array_equal(x.grad, [0.0, -1.0, 1.0])
     y = Tensor([0.0, 2.0], requires_grad=True)
     T.backward(T.reduce_sum(T.relu(y)))
     assert np.array_equal(y.grad, [0.0, 1.0])
