@@ -121,6 +121,9 @@ def _zigzag_pairs() -> list:
 ZIGZAG_ORDER = _zigzag_pairs()
 _ZIGZAG_FLAT = np.array([r * BLOCK + c for r, c in ZIGZAG_ORDER])
 _ZIGZAG_INVERSE = np.argsort(_ZIGZAG_FLAT)
+# 2D DCT of a flattened 8x8 block as one 64x64 matrix, rows in zigzag order:
+# kron(D, D)[u*8+v, x*8+y] = D[u,x] * D[v,y].
+_DCT_ZIGZAG = np.kron(_DCT, _DCT)[_ZIGZAG_FLAT]
 
 
 def rgb_to_ycbcr(img: PlanarImage) -> PlanarImage:
@@ -139,7 +142,10 @@ def rgb_to_ycbcr(img: PlanarImage) -> PlanarImage:
 
 
 def crop_to_grid(img: PlanarImage, bbox: Optional[BoundingBox] = None) -> PlanarImage:
-    """Clamp the bbox to the image, then trim bottom/right to multiples of 8."""
+    """Clamp the bbox to the image, then trim bottom/right to multiples of 8.
+
+    The returned pixels are a view into ``img.pixels``; copy before writing.
+    """
     h, w = img.height, img.width
     if bbox is None:
         x0, y0, x1, y1 = 0, 0, w, h
@@ -155,7 +161,7 @@ def crop_to_grid(img: PlanarImage, bbox: Optional[BoundingBox] = None) -> Planar
     if gw < BLOCK or gh < BLOCK:
         raise InputError(
             f"region {x1 - x0}x{y1 - y0} is smaller than one {BLOCK}x{BLOCK} block after grid cropping")
-    return PlanarImage(img.pixels[:, y0:y0 + gh, x0:x0 + gw].copy(), img.color_space)
+    return PlanarImage(img.pixels[:, y0:y0 + gh, x0:x0 + gw], img.color_space)
 
 
 def _plane_to_blocks(plane: np.ndarray) -> np.ndarray:
@@ -211,18 +217,21 @@ def zigzag_unflatten(vector: np.ndarray) -> np.ndarray:
 
 
 def restructure(img: PlanarImage, bbox: Optional[BoundingBox] = None) -> BlockSpectra:
-    """RGB image -> YCbCr -> grid crop -> block DCT -> zigzag bands.
+    """RGB image -> grid crop -> YCbCr -> block DCT -> zigzag bands.
 
-    The output layout is [channel, band, block row, block col].
+    The output layout is [channel, band, block row, block col]. DCT and
+    zigzag ordering are one 64x64 matmul per channel.
     """
-    ycc = rgb_to_ycbcr(img) if img.color_space == "rgb" else img
-    region = crop_to_grid(ycc, bbox)
+    region = crop_to_grid(img, bbox)
+    if region.color_space == "rgb":
+        region = rgb_to_ycbcr(region)
     br, bc = region.height // BLOCK, region.width // BLOCK
     out = np.empty((3, BANDS, br, bc))
+    blocks = np.empty((br, bc, BLOCK, BLOCK))
     for ch in range(3):
-        coeffs = block_dct8(region.pixels[ch])
-        flat = coeffs.reshape(br, bc, BANDS)[:, :, _ZIGZAG_FLAT]
-        out[ch] = flat.transpose(2, 0, 1)
+        np.subtract(_plane_to_blocks(region.pixels[ch]), 128.0, out=blocks)
+        np.matmul(_DCT_ZIGZAG, blocks.reshape(br * bc, BANDS).T,
+                  out=out[ch].reshape(BANDS, br * bc))
     return BlockSpectra(out)
 
 

@@ -52,7 +52,7 @@ def read_ppm(path) -> PlanarImage:
     if len(data) != need:
         raise InputError(f"{path}: expected {need} pixel bytes, found {len(data)}")
     arr = np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3)
-    return PlanarImage(arr.transpose(2, 0, 1).astype(np.float64), "rgb")
+    return PlanarImage(arr.transpose(2, 0, 1).astype(np.float64, order="C"), "rgb")
 
 
 def write_ppm(path, img: PlanarImage) -> None:

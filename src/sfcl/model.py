@@ -215,7 +215,3 @@ class Detector(Layer):
             if value.shape != buf.shape:
                 raise InputError(f"{name}: stored shape {value.shape} != model shape {buf.shape}")
             buf[...] = value.astype(buf.dtype)
-
-    def zero_grads(self) -> None:
-        for _, t in self.trainables():
-            t.grad = None

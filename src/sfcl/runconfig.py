@@ -50,6 +50,24 @@ class RunConfig:
                               precision=precision, init_seed=init_seed)
 
 
+def _coerce(key: str, value, default):
+    """Check a JSON value against the type of the field's default.
+
+    Tuple fields take lists; an int passes for a float, a bool never for an int.
+    """
+    if isinstance(default, tuple):
+        if isinstance(value, list):
+            return tuple(_coerce(f"{key}[{i}]", v, default[0]) for i, v in enumerate(value))
+        raise UsageError(f"config key '{key}' must be a list, got {json.dumps(value)}")
+    kind = type(default)
+    if isinstance(value, bool) == (kind is bool):
+        if isinstance(value, kind):
+            return value
+        if kind is float and isinstance(value, int):
+            return float(value)
+    raise UsageError(f"config key '{key}' must be {kind.__name__}, got {json.dumps(value)}")
+
+
 def _build_section(name: str, cls, doc: dict):
     allowed = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
@@ -57,10 +75,7 @@ def _build_section(name: str, cls, doc: dict):
         if key not in allowed:
             raise UsageError(f"unknown config key '{name}.{key}' "
                              f"(known: {sorted(allowed)})")
-        f = allowed[key]
-        if isinstance(value, list) and (f.type == "tuple" or isinstance(f.default, tuple)):
-            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        kwargs[key] = value
+        kwargs[key] = _coerce(f"{name}.{key}", value, allowed[key].default)
     return cls(**kwargs)
 
 

@@ -23,6 +23,7 @@ STATS = ("mean", "std", "skew", "kurt")
 DESCRIPTOR_LENGTH = len(STATS) * len(MODES) * 3 * BANDS  # 2304
 
 _STD_GUARD = 1e-12
+_CHUNK_BYTES = 1 << 18  # per moment work buffer
 
 
 @dataclass
@@ -74,9 +75,10 @@ def block_differential(spectra: BlockSpectra, mode: str) -> DifferentialMap:
         if spectra.block_cols < 2:
             raise InputError(f"col differentials need at least 2 block cols, got {spectra.block_cols}")
         return DifferentialMap("col", x[:, :, :, 1:] - x[:, :, :, :-1])
-    diff = x[:, 1:, :, :] - x[:, :-1, :, :]
-    pad = np.zeros((x.shape[0], 1) + x.shape[2:])
-    return DifferentialMap("intra", np.concatenate([diff, pad], axis=1))
+    out = np.empty_like(x)
+    np.subtract(x[:, 1:], x[:, :-1], out=out[:, :-1])
+    out[:, -1] = 0.0
+    return DifferentialMap("intra", out)
 
 
 def moment_stats(dmap: DifferentialMap) -> Dict[str, np.ndarray]:
@@ -86,12 +88,25 @@ def moment_stats(dmap: DifferentialMap) -> Dict[str, np.ndarray]:
     kurtosis m4/std^4 (not excess); both are defined as 0 wherever std falls
     below 1e-12, so constant regions stay NaN-free.
     """
-    a = np.abs(dmap.values)
-    mean = a.mean(axis=(2, 3))
-    centered = a - mean[:, :, None, None]
-    m2 = (centered ** 2).mean(axis=(2, 3))
-    m3 = (centered ** 3).mean(axis=(2, 3))
-    m4 = (centered ** 4).mean(axis=(2, 3))
+    c, b = dmap.values.shape[:2]
+    rows = dmap.values.reshape(c * b, -1)
+    mean, m2, m3, m4 = moments = np.empty((4, c * b))
+    # Powers by multiplication, not float pow, on a few (channel, band) rows at
+    # a time so both work buffers stay in cache. np.abs copies, so dmap.values
+    # is never written; no row's result depends on the chunking.
+    step = max(1, _CHUNK_BYTES // max(1, rows[0].nbytes))
+    for lo in range(0, c * b, step):
+        part = slice(lo, lo + step)
+        a = np.abs(rows[part])
+        mean[part] = a.mean(axis=1)
+        a -= mean[part, None]
+        c2 = a * a
+        m2[part] = c2.mean(axis=1)
+        a *= c2
+        m3[part] = a.mean(axis=1)
+        c2 *= c2
+        m4[part] = c2.mean(axis=1)
+    mean, m2, m3, m4 = moments.reshape(4, c, b)
     std = np.sqrt(m2)
     ok = std > _STD_GUARD
     skew = np.zeros_like(std)

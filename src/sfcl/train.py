@@ -79,6 +79,10 @@ class Adam:
         self.m = [np.zeros_like(t_.data, dtype=np.float64) for _, t_ in self.params]
         self.v = [np.zeros_like(t_.data, dtype=np.float64) for _, t_ in self.params]
 
+    def zero_grads(self) -> None:
+        for _, p in self.params:
+            p.grad = None
+
     def step(self) -> None:
         self.t += 1
         for (name, p), m, v in zip(self.params, self.m, self.v):
@@ -119,7 +123,7 @@ def train(model: Detector, samples: Sequence[Sample], cfg: TrainConfig,
         for step, idx in enumerate(_batches(len(frontend), cfg.batch_size, order)):
             batch = frontend.subset(idx)
             y = labels[idx]
-            model.zero_grads()
+            optimizer.zero_grads()
             logits, probs = model.forward(batch, mode="train")
             loss = bce_loss(logits, y)
             value = loss.item()

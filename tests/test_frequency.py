@@ -170,6 +170,18 @@ class TestRestructure:
                     dc = (block - 128.0).sum() / 8.0
                     assert abs(spectra.coefficients[ch, 0, bi, bj] - dc) < 1e-9
 
+    def test_bbox_region_matches_double_sum_oracle(self, rng):
+        img = PlanarImage(rng.uniform(0, 255, (3, 64, 80)), "rgb")
+        spectra = fq.restructure(img, BoundingBox(13, 5, 56, 40))
+        assert spectra.coefficients.shape == (3, 64, 5, 7)
+        ycc = fq.rgb_to_ycbcr(img).pixels[:, 5:45, 13:69]
+        for ch in range(3):
+            for bi in range(5):
+                for bj in range(7):
+                    block = ycc[ch, bi * 8:bi * 8 + 8, bj * 8:bj * 8 + 8]
+                    want = oracles.dct8_double_sum(block).reshape(64)[oracles.ZIGZAG_FLAT_TABLE]
+                    assert np.abs(spectra.coefficients[ch, :, bi, bj] - want).max() < 1e-9
+
     def test_full_round_trip(self, rng):
         img = PlanarImage(rng.uniform(20, 235, (3, 32, 40)), "rgb")
         spectra = fq.restructure(img)

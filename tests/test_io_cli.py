@@ -26,6 +26,7 @@ class TestPpm:
         back = read_ppm(path)
         assert back.color_space == "rgb"
         assert np.array_equal(back.pixels, px)
+        assert back.pixels.flags.c_contiguous  # planar, not the file's interleaved order
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ppm"
@@ -195,6 +196,22 @@ class TestRunConfig:
         with pytest.raises(UsageError, match="sbcm.kernals"):
             run_config_from_dict({"sbcm": {"kernals": [7, 5, 3]}})
 
+    def test_wrong_value_type_names_key_and_type(self):
+        with pytest.raises(UsageError, match=r"train\.epochs.*int"):
+            run_config_from_dict({"train": {"epochs": "ten"}})
+        with pytest.raises(UsageError, match=r"train\.batch_size.*int"):
+            run_config_from_dict({"train": {"batch_size": True}})
+        with pytest.raises(UsageError, match=r"sbcm\.kernels\[1\].*int"):
+            run_config_from_dict({"sbcm": {"kernels": [7, "5", 3]}})
+        with pytest.raises(UsageError, match=r"sbcm\.kernels.*list"):
+            run_config_from_dict({"sbcm": {"kernels": 7}})
+        with pytest.raises(UsageError, match=r"sbcm\.batchnorm.*bool"):
+            run_config_from_dict({"sbcm": {"batchnorm": 1}})
+
+    def test_int_accepted_for_float(self):
+        run = run_config_from_dict({"train": {"learning_rate": 1}})
+        assert run.train.learning_rate == 1.0 and isinstance(run.train.learning_rate, float)
+
     def test_section_values_applied(self):
         run = run_config_from_dict({"train": {"epochs": 3, "batch_size": 4},
                                     "hcma": {"embed_dim": 64, "heads": 4, "tokens": 4}})
@@ -356,6 +373,21 @@ class TestCli:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["type"] == "FormatError"
+
+    def test_train_config_value_type_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"train": {"epochs": "ten"}}))
+        data = str(tmp_path / "data")
+        synth_generate(SynthConfig(count=2, height=16, width=16, seed=1), out_dir=data)
+        capsys.readouterr()
+        code = cli.main(["train", "--config", str(cfg), "--data", data,
+                         "--out", str(tmp_path / "m.sfcl")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["type"] == "UsageError"
+        assert "train.epochs" in err["message"] and "int" in err["message"]
 
     def test_thread_env_validation(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SFCL_THREADS", "zero")

@@ -1,5 +1,7 @@
 """Differential statistics: maps, moments, descriptor layout, invariances."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,28 @@ class TestMomentStats:
                     got = stats[name][c, b]
                     assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
 
+    def test_large_offset_against_two_pass_oracle(self, rng):
+        values = 1e4 + rng.standard_normal((1, 2, 40, 30))
+        stats = moment_stats(DifferentialMap("row", values))
+        for b in range(2):
+            want = oracles.two_pass_moments(values[0, b])
+            for name, w in zip(("mean", "std", "skew", "kurt"), want):
+                assert abs(stats[name][0, b] - w) <= 1e-6 * max(1.0, abs(w))
+
+    def test_leaves_values_unchanged(self, rng):
+        values = rng.standard_normal((3, 64, 5, 6))
+        before = values.copy()
+        moment_stats(DifferentialMap("col", values))
+        assert np.array_equal(values, before)
+
+    def test_row_chunking_does_not_change_results(self, rng, monkeypatch):
+        dmap = DifferentialMap("row", rng.standard_normal((3, 64, 5, 7)) * 9)
+        whole = moment_stats(dmap)
+        monkeypatch.setattr(sida, "_CHUNK_BYTES", 5 * 5 * 7 * 8)  # 192 rows in chunks of 5
+        chunked = moment_stats(dmap)
+        for name in sida.STATS:
+            assert np.array_equal(chunked[name], whole[name])
+
     def test_uses_absolute_values(self):
         values = np.zeros((1, 1, 2, 1))
         values[0, 0, :, 0] = [-3.0, 3.0]
@@ -137,6 +161,23 @@ class TestSidaFromImage:
         assert np.abs(got - want).max() <= 1e-6 * np.maximum(1.0, np.abs(want)).max()
         rel = np.abs(got - want) / np.maximum(1.0, np.abs(want))
         assert rel.max() < 1e-6
+
+    def test_intra_band_63_statistics_are_zero(self, rng):
+        d = sida_descriptor(_spectra(rng)).values
+        for stat in sida.STATS:
+            for ch in range(3):
+                assert d[SidaDescriptor.position(stat, "intra", ch, 63)] == 0.0
+
+    def test_peak_memory_bound(self, rng):
+        from sfcl.frequency import restructure
+        spectra = restructure(PlanarImage(rng.uniform(0, 255, (3, 256, 256)), "rgb"))
+        tracemalloc.start()
+        try:
+            sida_descriptor(spectra)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * spectra.coefficients.nbytes
 
     def test_region_too_small(self):
         img = PlanarImage(np.zeros((3, 8, 32)), "rgb")
