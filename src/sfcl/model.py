@@ -88,29 +88,35 @@ def extract_frontend(images: Sequence[PlanarImage],
                      bboxes: Optional[Sequence[Optional[BoundingBox]]] = None,
                      dtype=np.float32,
                      labels: Optional[Sequence[int]] = None) -> FrontendBatch:
-    """Run the fixed frontend once per image and stack the results.
+    """Run the fixed frontend once per image, writing each into its own row.
 
     All grid-cropped regions must share one size so they can form a batch.
+    The outputs are C-ordered whatever the layout of the input planes.
     """
+    if not images:
+        raise InputError("the frontend needs at least one image")
     if bboxes is None:
         bboxes = [None] * len(images)
-    pixels, spectra_list, descriptors = [], [], []
-    shape = None
-    for img, bbox in zip(images, bboxes):
+    n = len(images)
+    pixels = spectra_out = descriptors = None
+    for i, (img, bbox) in enumerate(zip(images, bboxes)):
         rgb = crop_to_grid(img, bbox)
         spectra = restructure(rgb)
         if spectra.block_rows < 2 or spectra.block_cols < 2:
             raise InputError("cropped region smaller than 16x16; differential statistics undefined")
-        if shape is None:
-            shape = rgb.pixels.shape
-        elif rgb.pixels.shape != shape:
+        if pixels is None:
+            pixels = np.empty((n,) + rgb.pixels.shape, dtype=dtype)
+            spectra_out = np.empty((n,) + spectra.coefficients.shape, dtype=dtype)
+            descriptors = np.empty((n, DESCRIPTOR_LENGTH), dtype=dtype)
+        elif rgb.pixels.shape != pixels.shape[1:]:
             raise InputError(
-                f"cannot batch crops of different sizes: {rgb.pixels.shape} vs {shape}")
-        pixels.append((rgb.pixels / 255.0).astype(dtype))
-        spectra_list.append(spectra.coefficients.astype(dtype))
-        descriptors.append(sida_descriptor(spectra).values.astype(dtype))
+                f"cannot batch crops of different sizes: {rgb.pixels.shape} vs {pixels.shape[1:]}")
+        # float64 math, rounded to dtype on store
+        np.divide(rgb.pixels, 255.0, out=pixels[i], dtype=np.float64, casting="unsafe")
+        spectra_out[i] = spectra.coefficients
+        descriptors[i] = sida_descriptor(spectra).values
     lab = None if labels is None else np.asarray(labels, dtype=np.int64)
-    return FrontendBatch(np.stack(pixels), np.stack(spectra_list), np.stack(descriptors), lab)
+    return FrontendBatch(pixels, spectra_out, descriptors, lab)
 
 
 def desk_detector_config(init_seed: int = 0, **overrides) -> DetectorConfig:

@@ -3,7 +3,8 @@
 A :class:`Tensor` wraps a float32 or float64 ``numpy`` array. Operations on
 tensors that require gradients build an implicit graph; ``backward`` replays
 that graph once, in reverse topological order, and leaves ``.grad`` on every
-leaf created with ``requires_grad=True``.
+leaf created with ``requires_grad=True``. Inside a ``no_grad()`` block no
+graph is built.
 
 Design constraints honoured throughout:
 
@@ -15,7 +16,9 @@ Design constraints honoured throughout:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+import contextlib
+from contextvars import ContextVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -23,6 +26,24 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, NumericError, ShapeError, UsageError
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
+
+# Whether ops record the graph; a ContextVar so that each thread and task
+# starts from the default and a block in one cannot switch off another's.
+_GRAD_ENABLED: ContextVar[bool] = ContextVar("sfcl_grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Within the block, op results record no parents and no backward.
+
+    Nothing is kept for a backward pass, so each intermediate array is freed
+    as soon as the forward no longer reads it. Values are unchanged.
+    """
+    token = _GRAD_ENABLED.set(False)
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED.reset(token)
 
 
 class Tensor:
@@ -180,7 +201,7 @@ def backward(loss: Tensor) -> None:
 def _node(data: np.ndarray, op: str, parents: Sequence[Tensor],
           bw: Callable) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = bw
@@ -249,12 +270,13 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
+    """max(x, 0); a NaN input stays NaN, so the loss check sees it."""
+    out = np.maximum(x.data, 0)
 
     def bw(g):
-        return (g * mask,)
+        return (g * (out > 0),)
 
-    return _node(np.where(mask, x.data, 0), "relu", (x,), bw)
+    return _node(out, "relu", (x,), bw)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -577,7 +599,10 @@ def conv3d(x: Tensor, w: Tensor, stride_d: int = 1) -> Tensor:
         dwk = np.einsum("nodhw,ncdkhw->ock", gd, xw, optimize=True)
         dxw = np.einsum("nodhw,ock->ncdkhw", gd, wd, optimize=True)
         dx = np.zeros_like(xd)
-        np.add.at(dx, (slice(None), slice(None), idx), dxw)
+        # Reverse k adds each depth's terms in np.add.at's order (d' rising),
+        # so the sums are bit-identical to the scatter this replaces.
+        for k in reversed(range(kd)):
+            dx[:, :, k:k + stride_d * do:stride_d] += dxw[:, :, :, k]
         if squeeze:
             dx = dx[0]
         return dx, dwk
@@ -612,27 +637,28 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
     axes = (0,) + tuple(range(2, x.ndim))
     bshape = (1, c) + (1,) * (x.ndim - 2)
     xd = x.data
+    count = xd.size // c
 
     if mode == "train":
         if x.shape[0] < 2:
             raise ConfigError("batchnorm train mode needs a batch of at least 2")
         mu = xd.mean(axis=axes)
-        var = xd.var(axis=axes)
+        centered = xd - mu.reshape(bshape)
+        # np.var's own sequence (subtract, square, sum, divide) on the
+        # centered values kept for xhat and backward
+        var = np.square(centered).sum(axis=axes) / count
         if update_running is None or update_running:
             running_mean *= 1.0 - momentum
             running_mean += momentum * mu.astype(running_mean.dtype)
             running_var *= 1.0 - momentum
             running_var += momentum * var.astype(running_var.dtype)
     else:
-        mu = running_mean.astype(xd.dtype)
+        centered = xd - running_mean.astype(xd.dtype).reshape(bshape)
         var = running_var.astype(xd.dtype)
 
-    inv = 1.0 / np.sqrt(var + eps)
-    mu_b = mu.reshape(bshape)
-    inv_b = inv.reshape(bshape)
-    xhat = (xd - mu_b) * inv_b
+    inv_b = (1.0 / np.sqrt(var + eps)).reshape(bshape)
+    xhat = centered * inv_b
     out = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
-    count = xd.size // c
 
     def bw(g):
         dgamma = (g * xhat).sum(axis=axes)
@@ -641,7 +667,6 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         if mode == "infer":
             dx = dxhat * inv_b
             return dx, dgamma, dbeta
-        centered = xd - mu_b
         dvar = (dxhat * centered).sum(axis=axes, keepdims=True) * (-0.5) * inv_b ** 3
         dmu = (-inv_b) * dxhat.sum(axis=axes, keepdims=True) \
             + dvar * (-2.0 / count) * centered.sum(axis=axes, keepdims=True)

@@ -23,6 +23,7 @@ from .tensor import Tensor
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_CHUNK = 16384  # elements per float64 work buffer: 128 KiB, cache-sized
 
 
 @dataclass
@@ -76,22 +77,33 @@ class Adam:
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = [np.zeros_like(t_.data, dtype=np.float64) for _, t_ in self.params]
-        self.v = [np.zeros_like(t_.data, dtype=np.float64) for _, t_ in self.params]
+        self.m = [np.zeros(t_.shape) for _, t_ in self.params]  # C-ordered float64
+        self.v = [np.zeros(t_.shape) for _, t_ in self.params]
 
     def zero_grads(self) -> None:
         for _, p in self.params:
             p.grad = None
 
     def step(self) -> None:
+        """Update every parameter with a gradient, writing into ``p.data``.
+
+        ``adam_step`` runs in float64 on chunks of ``ADAM_CHUNK`` elements so
+        its temporaries stay in cache; it is elementwise, so the result is
+        the same as one whole-tensor call.
+        """
         self.t += 1
         for (name, p), m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
-            theta = p.data.astype(np.float64)
-            adam_step(theta, p.grad.astype(np.float64), m, v, self.t,
-                      self.lr, self.weight_decay)
-            p.data = theta.astype(p.data.dtype)
+            if not p.data.flags.c_contiguous:  # reshape(-1) must be a view
+                p.data = np.ascontiguousarray(p.data)
+            theta, grad, m, v = (a.reshape(-1) for a in (p.data, p.grad, m, v))
+            for s in range(0, theta.size, ADAM_CHUNK):
+                e = s + ADAM_CHUNK
+                chunk = theta[s:e].astype(np.float64)
+                adam_step(chunk, grad[s:e].astype(np.float64), m[s:e], v[s:e], self.t,
+                          self.lr, self.weight_decay)
+                theta[s:e] = chunk
 
 
 def _batches(n: int, batch_size: int, order: np.ndarray):
@@ -150,8 +162,9 @@ def evaluate(model: Detector, samples: Sequence[Sample],
                                     dtype=model.cfg.dtype,
                                     labels=[s.label for s in samples])
     probs = np.empty(len(frontend), dtype=np.float64)
-    for start in range(0, len(frontend), batch_size):
-        idx = np.arange(start, min(start + batch_size, len(frontend)))
-        _, p = model.forward(frontend.subset(idx), mode="infer")
-        probs[idx] = p.data.astype(np.float64)
+    with T.no_grad():
+        for start in range(0, len(frontend), batch_size):
+            idx = np.arange(start, min(start + batch_size, len(frontend)))
+            _, p = model.forward(frontend.subset(idx), mode="infer")
+            probs[idx] = p.data.astype(np.float64)
     return probs, frontend.labels

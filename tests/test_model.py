@@ -52,6 +52,21 @@ class TestForward:
         with pytest.raises(InputError):
             extract_frontend(images)
 
+    def test_no_images_rejected(self):
+        with pytest.raises(InputError):
+            extract_frontend([])
+
+    def test_transposed_planes_give_c_ordered_rows(self, rng):
+        planes = [rng.uniform(0, 255, (40, 24, 3)).transpose(2, 1, 0) for _ in range(2)]
+        assert not planes[0].flags.c_contiguous
+        got = extract_frontend([PlanarImage(p, "rgb") for p in planes])
+        ref = extract_frontend([PlanarImage(np.ascontiguousarray(p), "rgb") for p in planes])
+        for a, b in ((got.pixels, ref.pixels), (got.spectra, ref.spectra),
+                     (got.descriptors, ref.descriptors)):
+            assert a.flags.c_contiguous and a.dtype == np.float32
+            assert np.array_equal(a, b)
+        assert np.array_equal(got.pixels, np.stack([(p / 255.0).astype(np.float32) for p in planes]))
+
 
 class TestConfigValidation:
     def test_fusion_dims_must_match(self):

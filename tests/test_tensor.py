@@ -1,6 +1,8 @@
 """Tensor core: forward semantics against naive oracles, gradients against
 finite differences, tape discipline, and the error contract."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,20 @@ class TestConv3d:
     def test_kernel_deeper_than_input(self):
         with pytest.raises(ShapeError):
             T.conv3d(Tensor(np.zeros((1, 4, 2, 2))), Tensor(np.zeros((1, 1, 5))))
+
+    @pytest.mark.parametrize("kd,stride", [(7, 3), (5, 2), (3, 2), (3, 3), (2, 4), (3, 1)])
+    def test_backward_bit_equal_to_add_at_scatter(self, rng, kd, stride):
+        x = Tensor(rng.standard_normal((2, 3, 19, 2, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, kd)), requires_grad=True)
+        out = T.conv3d(x, w, stride_d=stride)
+        g = rng.standard_normal(out.shape)
+        T.backward(T.reduce_sum(T.mul(out, Tensor(g))))
+        do = out.shape[2]
+        idx = np.arange(do)[:, None] * stride + np.arange(kd)[None, :]
+        dxw = np.einsum("nodhw,ock->ncdkhw", g, w.data, optimize=True)
+        want = np.zeros_like(x.data)
+        np.add.at(want, (slice(None), slice(None), idx), dxw)
+        assert np.array_equal(x.grad, want)
 
 
 class TestSoftmax:
@@ -236,6 +252,17 @@ class TestBatchnorm:
         with pytest.raises(ConfigError):
             T.batchnorm(Tensor(np.zeros((1, 2, 3))), gamma, beta, rm, rv, mode="train")
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_statistics_bit_equal_to_numpy(self, rng, dtype):
+        x = (rng.standard_normal((6, 4, 5, 7)) * 3 + 1).astype(dtype)
+        gamma, beta, rm, rv = self._params(4, dtype)
+        T.batchnorm(Tensor(x), gamma, beta, rm, rv, mode="train")
+        want_m, want_v = np.zeros(4, dtype), np.ones(4, dtype)
+        for buf, stat in ((want_m, x.mean(axis=(0, 2, 3))), (want_v, x.var(axis=(0, 2, 3)))):
+            buf *= 0.9
+            buf += 0.1 * stat
+        assert np.array_equal(rm, want_m) and np.array_equal(rv, want_v)
+
     def test_gradient_vs_finite_differences(self, rng):
         gamma = Tensor(rng.standard_normal(3) * 0.2 + 1, requires_grad=True)
         beta = Tensor(rng.standard_normal(3) * 0.1, requires_grad=True)
@@ -291,6 +318,40 @@ class TestBackward:
             seen.add(id(node))
 
 
+class TestNoGrad:
+    def test_results_record_no_graph(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        with T.no_grad():
+            y = T.relu(T.mul(x, 3.0))
+        assert not y.requires_grad and y.is_leaf and y._backward is None
+        assert np.array_equal(y.data, [3.0, 0.0])
+        assert T.mul(x, 3.0).requires_grad
+
+    def test_backward_on_result_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with T.no_grad():
+            loss = T.reduce_sum(T.mul(x, x))
+        with pytest.raises(UsageError):
+            T.backward(loss)
+
+    def test_setting_restored_after_exception(self):
+        x = Tensor([1.0], requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("inside")
+        assert T.mul(x, 2.0).requires_grad
+
+    def test_thread_started_inside_records_graph(self):
+        x = Tensor([1.0], requires_grad=True)
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append(T.mul(x, 2.0).requires_grad))
+        with T.no_grad():
+            worker.start()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert seen == [True]
+
+
 class TestGradCheck:
     def test_identity(self, rng):
         err = T.grad_check(lambda x: x, Tensor(rng.standard_normal(6)))
@@ -342,6 +403,11 @@ def test_every_op_passes_grad_check(seed):
     for name, (f, shape) in _op_cases(rng).items():
         err = T.grad_check(f, Tensor(rng.standard_normal(shape)), h=1e-5)
         assert err < 1e-4, f"{name} failed grad check with {err:.3e} (seed {seed})"
+
+
+def test_relu_propagates_nan():
+    out = T.relu(Tensor(np.array([np.nan, -1.0, 2.0], dtype=np.float32))).data
+    assert np.isnan(out[0]) and np.array_equal(out[1:], [0.0, 2.0])
 
 
 def test_relu_abs_gradient_at_zero_is_zero():

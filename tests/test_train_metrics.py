@@ -12,10 +12,10 @@ from sfcl import tensor as T
 from sfcl.errors import ConfigError, UsageError
 from sfcl.frequency import PlanarImage
 from sfcl.metrics import metric_accuracy, metric_auc
-from sfcl.model import Detector, desk_detector_config
+from sfcl.model import Detector, desk_detector_config, extract_frontend
 from sfcl.synth import SynthConfig, high_band_energy, make_pair, synth_generate
 from sfcl.tensor import Tensor
-from sfcl.train import TrainConfig, adam_step, bce_loss, evaluate, train
+from sfcl.train import Adam, TrainConfig, adam_step, bce_loss, evaluate, train
 from sfcl.checks import tiny_detector_config
 
 
@@ -107,6 +107,33 @@ class TestAdam:
         with pytest.raises(UsageError):
             adam_step(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3), 1, 0.1)
 
+    def test_chunked_step_bit_equal_to_whole_tensor(self, rng):
+        # 40,000 elements: more than one chunk and not a multiple of it
+        p = Tensor(rng.standard_normal((200, 200)).astype(np.float32), requires_grad=True)
+        opt = Adam([("p", p)], lr=0.01, weight_decay=1e-3)
+        want = p.data.copy()
+        m, v = np.zeros((200, 200)), np.zeros((200, 200))
+        for t in range(1, 6):
+            p.grad = rng.standard_normal((200, 200)).astype(np.float32)
+            data = p.data
+            opt.step()
+            theta = want.astype(np.float64)
+            adam_step(theta, p.grad.astype(np.float64), m, v, t, 0.01, 1e-3)
+            want = theta.astype(np.float32)
+            assert p.data is data
+            assert np.array_equal(p.data, want)
+            assert np.array_equal(opt.m[0], m) and np.array_equal(opt.v[0], v)
+
+    def test_non_c_ordered_parameter_is_updated(self, rng):
+        p = Tensor(np.asfortranarray(rng.standard_normal((30, 20))), requires_grad=True)
+        opt = Adam([("p", p)], lr=0.01)
+        want, m, v = p.data.copy(), np.zeros((30, 20)), np.zeros((30, 20))
+        for t in (1, 2):
+            p.grad = rng.standard_normal((30, 20))
+            adam_step(want, p.grad, m, v, t, 0.01)
+            opt.step()
+            assert np.array_equal(p.data, want)
+
 
 def _tiny_samples(count, seed):
     return synth_generate(SynthConfig(count=count, height=16, width=16, seed=seed))
@@ -150,6 +177,15 @@ class TestTraining:
         probs, labels = evaluate(model, samples, batch_size=2)
         assert probs.shape == (6,)
         assert np.array_equal(labels, [s.label for s in samples])
+
+    def test_evaluate_bit_equal_to_graph_recording_forward(self):
+        samples = _tiny_samples(3, 12)
+        model = Detector(tiny_detector_config(3))
+        probs, _ = evaluate(model, samples)
+        batch = extract_frontend([s.image for s in samples], dtype=model.cfg.dtype)
+        _, recorded = model.forward(batch, mode="infer")
+        assert recorded.requires_grad
+        assert np.array_equal(probs, recorded.data.astype(np.float64))
 
 
 class TestAccuracy:
