@@ -75,19 +75,18 @@ class Faae(Layer):
         scores = T.mul(T.matmul(m_query, T.transpose(m_key, (0, 2, 1))), scale)
         return T.softmax_rows(scores)
 
-    def enhance(self, x_s: Tensor, x_f: Tensor, alpha: Tensor, mode: str = "infer",
-                update_running=None) -> Tensor:
+    def enhance(self, x_s: Tensor, x_f: Tensor, alpha: Tensor, mode: str = "infer") -> Tensor:
         """Residual injection of gated frequency context: returns Y_S, same shape as X_S."""
         n, cs, h, w = x_s.shape
         values = T.matmul(_tokens(x_f), self.v_f.w)          # [N, HW, Cs]
         context = T.matmul(alpha, values)                    # attention application
         context = T.mul(context, T.sigmoid(self.gamma_s))
         context = T.matmul(context, self.out.w)
-        residual = self.bn.forward(_untokens(context, h, w), mode, update_running)
+        residual = self.bn.forward(_untokens(context, h, w), mode)
         return T.add(x_s, residual)
 
-    def forward(self, x_f: Tensor, x_s: Tensor, mode: str = "infer", update_running=None) -> Tensor:
-        return self.enhance(x_s, x_f, self.attention(x_f, x_s), mode, update_running)
+    def forward(self, x_f: Tensor, x_s: Tensor, mode: str = "infer") -> Tensor:
+        return self.enhance(x_s, x_f, self.attention(x_f, x_s), mode)
 
 
 @dataclass
@@ -145,8 +144,7 @@ class Hcma(Layer):
         return T.reshape(T.transpose(T.reshape(x, (n, h, t, dh)), (0, 2, 1, 3)), (n, t * dh * h))
 
     def fuse(self, s: Tensor, f: Tensor, d: Tensor, mode: str = "infer",
-             update_running=None, use_gate: bool = True,
-             internals: Optional[Dict[str, Tensor]] = None) -> Tensor:
+             use_gate: bool = True, internals: Optional[Dict[str, Tensor]] = None) -> Tensor:
         """S [N,spatial_dim], F [N,freq_dim], D [N,2304] -> fused [N,embed_dim]."""
         if d.shape[-1] != DESCRIPTOR_LENGTH:
             raise ShapeError(f"descriptor length must be {DESCRIPTOR_LENGTH}, got {d.shape}")
@@ -163,7 +161,7 @@ class Hcma(Layer):
         alpha = T.softmax_rows(T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), scale))
         attended = T.matmul(alpha, v)
         a_flat = self._merge_heads(attended, n)
-        res = self.bn.forward(self.residual.forward(s1), mode, update_running)
+        res = self.bn.forward(self.residual.forward(s1), mode)
         a_res = T.add(a_flat, res)
         if use_gate:
             g = T.sigmoid(self.gate.forward(d))

@@ -42,6 +42,8 @@ def read_ppm(path) -> PlanarImage:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError:
         raise InputError(f"{path}: non-numeric PPM header fields {tokens}") from None
+    if width < 1 or height < 1:
+        raise InputError(f"{path}: PPM width and height must be at least 1, got {width}x{height}")
     if maxval != 255:
         raise InputError(f"{path}: only 8-bit PPM supported, maxval was {maxval}")
     if pos >= len(blob) or blob[pos:pos + 1] not in _WHITESPACE:

@@ -14,7 +14,7 @@ reproducible from a single seed.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -111,9 +111,9 @@ class BatchNormLayer(Layer):
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
 
-    def forward(self, x: Tensor, mode: str, update_running: Optional[bool] = None) -> Tensor:
+    def forward(self, x: Tensor, mode: str) -> Tensor:
         return T.batchnorm(x, self.gamma, self.beta, self.running_mean,
-                           self.running_var, mode=mode, update_running=update_running)
+                           self.running_var, mode=mode)
 
 
 class ConvBnRelu(Layer):
@@ -124,8 +124,8 @@ class ConvBnRelu(Layer):
         self.conv = Conv2dLayer(c_in, c_out, kernel, stride, pad, rng, dtype)
         self.bn = BatchNormLayer(c_out, dtype)
 
-    def forward(self, x: Tensor, mode: str, update_running=None) -> Tensor:
-        return T.relu(self.bn.forward(self.conv.forward(x), mode, update_running))
+    def forward(self, x: Tensor, mode: str) -> Tensor:
+        return T.relu(self.bn.forward(self.conv.forward(x), mode))
 
 
 class SeparableBlock(Layer):
@@ -138,9 +138,9 @@ class SeparableBlock(Layer):
         self.pw = Conv2dLayer(c_in, c_out, 1, 1, 0, rng, dtype)
         self.bn2 = BatchNormLayer(c_out, dtype)
 
-    def forward(self, x: Tensor, mode: str, update_running=None) -> Tensor:
-        h = T.relu(self.bn1.forward(self.dw.forward(x), mode, update_running))
-        return T.relu(self.bn2.forward(self.pw.forward(h), mode, update_running))
+    def forward(self, x: Tensor, mode: str) -> Tensor:
+        h = T.relu(self.bn1.forward(self.dw.forward(x), mode))
+        return T.relu(self.bn2.forward(self.pw.forward(h), mode))
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

@@ -88,18 +88,16 @@ class Sbcm(Layer):
                     Conv3dDepthLayer(cfg.widths[i], cfg.widths[i + 1], k, s, rng, dtype))
             setattr(self, f"bn{i}", BatchNormLayer(cfg.widths[i + 1], dtype) if cfg.batchnorm else None)
 
-    def forward(self, x: Tensor, mode: str = "infer", update_running=None) -> Tensor:
+    def forward(self, x: Tensor, mode: str = "infer") -> Tensor:
         if x.shape[-3] != SBCM_INPUT_BANDS:
             raise ShapeError(f"band axis must be {SBCM_INPUT_BANDS}, got input shape {x.shape}")
-        squeeze = x.ndim == 4
-        h = T.reshape(x, (1,) + x.shape) if squeeze else x
         for i in range(len(self.cfg.kernels)):
-            h = getattr(self, f"conv{i}").forward(h)
+            x = getattr(self, f"conv{i}").forward(x)
             bn = getattr(self, f"bn{i}")
             if bn is not None:
-                h = bn.forward(h, mode, update_running)
-            h = T.relu(h)
-        return T.reshape(h, h.shape[1:]) if squeeze else h
+                x = bn.forward(x, mode)
+            x = T.relu(x)
+        return x
 
 
 def flatten_bands(x: Tensor) -> Tensor:
@@ -123,14 +121,11 @@ class CnnF(Layer):
         self.block = [SeparableBlock(cfg.widths[i], cfg.widths[i + 1], s, rng, dtype)
                        for i, s in enumerate(cfg.strides)]
 
-    def forward(self, x: Tensor, mode: str = "infer", update_running=None) -> Tensor:
+    def forward(self, x: Tensor, mode: str = "infer") -> Tensor:
         if x.shape[-3] != self.cfg.widths[0]:
             raise ShapeError(f"expected {self.cfg.widths[0]} input channels, got shape {x.shape}")
-        squeeze = x.ndim == 3
-        h = T.reshape(x, (1,) + x.shape) if squeeze else x
         for i, block in enumerate(self.block):
-            if h.shape[-1] < 1 or h.shape[-2] < 1:
-                raise ConfigError(f"spatial dims collapsed before block {i}: shape {h.shape}")
-            h = block.forward(h, mode, update_running)
-        pooled = global_avg_pool(h)
-        return T.reshape(pooled, pooled.shape[1:]) if squeeze else pooled
+            if x.shape[-1] < 1 or x.shape[-2] < 1:
+                raise ConfigError(f"spatial dims collapsed before block {i}: shape {x.shape}")
+            x = block.forward(x, mode)
+        return global_avg_pool(x)

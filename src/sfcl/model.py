@@ -165,8 +165,7 @@ class Detector(Layer):
 
     # -- forward ---------------------------------------------------------
 
-    def forward(self, batch: FrontendBatch, mode: str = "infer",
-                update_running: Optional[bool] = None) -> Tuple[Tensor, Tensor]:
+    def forward(self, batch: FrontendBatch, mode: str = "infer") -> Tuple[Tensor, Tensor]:
         """Returns (logits [N], probabilities [N])."""
         if mode not in ("train", "infer"):
             raise UsageError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -176,21 +175,20 @@ class Detector(Layer):
         d = Tensor(np.ascontiguousarray(batch.descriptors, dtype=dt))
         n = len(batch)
 
-        x_s = self.backbone.stem_forward(x_img, mode, update_running)
+        x_s = self.backbone.stem_forward(x_img, mode)
         if self.sbcm is not None:
-            x_f = flatten_bands(self.sbcm.forward(x_spec, mode, update_running))
+            x_f = flatten_bands(self.sbcm.forward(x_spec, mode))
         else:
             hb, wb = x_spec.shape[-2:]
             x_f = T.reshape(x_spec, (n, 192, hb, wb))
-        f_vec = self.cnnf.forward(x_f, mode, update_running)
+        f_vec = self.cnnf.forward(x_f, mode)
 
         if self.cfg.fusion_mode == "hierarchical":
-            y_s = self.faae.forward(x_f, x_s, mode, update_running)
-            s_vec = self.backbone.deep_forward(y_s, mode, update_running)
-            fused = self.hcma.fuse(s_vec, f_vec, d, mode, update_running,
-                                   use_gate=self.cfg.use_sida_gate)
+            y_s = self.faae.forward(x_f, x_s, mode)
+            s_vec = self.backbone.deep_forward(y_s, mode)
+            fused = self.hcma.fuse(s_vec, f_vec, d, mode, use_gate=self.cfg.use_sida_gate)
         else:
-            s_vec = self.backbone.deep_forward(x_s, mode, update_running)
+            s_vec = self.backbone.deep_forward(x_s, mode)
             fused = T.concat([s_vec, f_vec, d], axis=1)
         return self.classifier.forward(fused)
 

@@ -13,12 +13,16 @@ Layout (all integers little-endian):
         data     raw little-endian scalars, row-major
 
 Save -> load -> save reproduces the file byte for byte and preserves order.
+Saving is atomic: the bytes go to a temporary file next to the target, which
+then replaces it, so a failed save leaves any existing file untouched.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import uuid
 from typing import Dict
 
 import numpy as np
@@ -47,8 +51,16 @@ def save_model(path, arrays: Dict[str, np.ndarray]) -> None:
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         little = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
         chunks.append(np.ascontiguousarray(little).tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    target = os.fspath(path)
+    tmp = f"{target}.{uuid.uuid4().hex[:12]}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(b"".join(chunks))
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:

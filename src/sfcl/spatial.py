@@ -51,21 +51,21 @@ class SpatialBackbone(Layer):
                      for i in range(len(cfg.deep_widths) - 1)]
         self.head = LinearLayer(cfg.deep_widths[-1], cfg.output_dim, rng, dtype)
 
-    def stem_forward(self, img: Tensor, mode: str = "infer", update_running=None) -> Tensor:
+    def stem_forward(self, img: Tensor, mode: str = "infer") -> Tensor:
         """Pixels in [0,1], shape [N,3,H,W] with H,W divisible by 8 -> [N,C,H/8,W/8]."""
         h, w = img.shape[-2:]
         if h % 8 or w % 8:
             raise ShapeError(f"stem needs dims divisible by 8, got {h}x{w}; grid-crop upstream")
         x = img
         for stage in self.stem:
-            x = stage.forward(x, mode, update_running)
+            x = stage.forward(x, mode)
         return x
 
-    def deep_forward(self, y_s: Tensor, mode: str = "infer", update_running=None) -> Tensor:
+    def deep_forward(self, y_s: Tensor, mode: str = "infer") -> Tensor:
         """Shallow (possibly attention-enhanced) map -> feature vector [N, output_dim]."""
         x = y_s
         for i, stage in enumerate(self.deep):
             if x.shape[-1] < 1 or x.shape[-2] < 1:
                 raise ConfigError(f"spatial dims collapsed before deep stage {i}: shape {x.shape}")
-            x = stage.forward(x, mode, update_running)
+            x = stage.forward(x, mode)
         return self.head.forward(global_avg_pool(x))

@@ -311,12 +311,8 @@ def _normalize_axes(x: Tensor, axes) -> Optional[tuple]:
 
 
 def reduce_sum(x: Tensor, axes: Optional[Iterable[int]] = None) -> Tensor:
-    """Sum over `axes` (all axes when None); an empty axis set is a no-op copy."""
+    """Sum over `axes` (all axes when None); an empty axis set is a copy."""
     ax = _normalize_axes(x, axes)
-    if ax == ():
-        def bw_copy(g):
-            return (g,)
-        return _node(x.data.copy(), "sum", (x,), bw_copy)
     shape = x.shape
 
     def bw(g):
@@ -329,12 +325,8 @@ def reduce_sum(x: Tensor, axes: Optional[Iterable[int]] = None) -> Tensor:
 
 
 def reduce_mean(x: Tensor, axes: Optional[Iterable[int]] = None) -> Tensor:
-    """Mean over `axes` (all axes when None); an empty axis set is a no-op copy."""
+    """Mean over `axes` (all axes when None); an empty axis set is a copy."""
     ax = _normalize_axes(x, axes)
-    if ax == ():
-        def bw_copy(g):
-            return (g,)
-        return _node(x.data.copy(), "mean", (x,), bw_copy)
     shape = x.shape
     count = 1
     for a in ax:
@@ -437,29 +429,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """Affine map ``x @ w + b`` for x of shape [N, in] (or [in]), w [in, out]."""
+    """Affine map ``x @ w + b`` for x of shape [N, in], w [in, out], b [out]."""
     _check_same_precision("linear", *( (x, w, b) if b is not None else (x, w) ))
-    squeeze = x.ndim == 1
-    xd = x.data[None, :] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 2 or w.ndim != 2 or xd.shape[1] != w.shape[0]:
-        raise ShapeError(f"linear: incompatible shapes {x.shape} and {w.shape}")
+        raise ShapeError(f"linear: expected [N,in] input and [in,out] weight, got {x.shape} and {w.shape}")
     if b is not None and b.shape != (w.shape[1],):
         raise ShapeError(f"linear: bias shape {b.shape} does not match output width {w.shape[1]}")
     y = xd @ w.data
     if b is not None:
         y = y + b.data[None, :]
-    if squeeze:
-        y = y[0]
 
     def bw(g):
-        gd = g[None, :] if squeeze else g
-        dx = gd @ w.data.T
-        dw = xd.T @ gd
-        if squeeze:
-            dx = dx[0]
+        dx = g @ w.data.T
+        dw = xd.T @ g
         if b is None:
             return dx, dw
-        return dx, dw, gd.sum(axis=0)
+        return dx, dw, g.sum(axis=0)
 
     parents = (x, w) if b is None else (x, w, b)
     return _node(y, "linear", parents, bw)
@@ -490,14 +476,13 @@ def _pair(v) -> tuple:
 
 
 def conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
-    """2D cross-correlation. x: [C_in,H,W] or [N,C_in,H,W]; w: [C_out,C_in,kh,kw]."""
+    """2D cross-correlation. x: [N,C_in,H,W]; w: [C_out,C_in,kh,kw]."""
     _check_same_precision("conv2d", x, w)
     sh, sw = _pair(stride)
     ph, pw = _pair(pad)
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 4 or w.ndim != 4:
-        raise ShapeError(f"conv2d: expected 3D/4D input and 4D kernel, got {x.shape} and {w.shape}")
+        raise ShapeError(f"conv2d: expected [N,C_in,H,W] input and 4D kernel, got {x.shape} and {w.shape}")
     n, ci, h, wd_ = xd.shape
     co, ci_w, kh, kw = w.shape
     if ci != ci_w:
@@ -513,20 +498,14 @@ def conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
     out = np.einsum("ncpqij,ocij->nopq", win, w.data, optimize=True)
 
     def bw(g):
-        gd = g[None] if squeeze else g
-        dw = np.einsum("nopq,ncpqij->ocij", gd, win, optimize=True)
+        dw = np.einsum("nopq,ncpqij->ocij", g, win, optimize=True)
         dxp = np.zeros_like(xp)
         for i in range(kh):
             for j in range(kw):
                 dxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += np.einsum(
-                    "nopq,oc->ncpq", gd, w.data[:, :, i, j], optimize=True)
-        dx = dxp[:, :, ph:ph + h, pw:pw + wd_]
-        if squeeze:
-            dx = dx[0]
-        return dx, dw
+                    "nopq,oc->ncpq", g, w.data[:, :, i, j], optimize=True)
+        return dxp[:, :, ph:ph + h, pw:pw + wd_], dw
 
-    if squeeze:
-        out = out[0]
     return _node(out, "conv2d", (x, w), bw)
 
 
@@ -535,8 +514,10 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
     _check_same_precision("depthwise_conv2d", x, w)
     sh, sw = _pair(stride)
     ph, pw = _pair(pad)
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
+    if xd.ndim != 4 or w.ndim != 3:
+        raise ShapeError(
+            f"depthwise_conv2d: expected [N,C,H,W] input and [C,kh,kw] kernel, got {x.shape} and {w.shape}")
     n, c, h, wd_ = xd.shape
     cw, kh, kw = w.shape
     if c != cw:
@@ -552,26 +533,20 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
     out = np.einsum("ncpqij,cij->ncpq", win, w.data, optimize=True)
 
     def bw(g):
-        gd = g[None] if squeeze else g
-        dw = np.einsum("ncpq,ncpqij->cij", gd, win, optimize=True)
+        dw = np.einsum("ncpq,ncpqij->cij", g, win, optimize=True)
         dxp = np.zeros_like(xp)
         for i in range(kh):
             for j in range(kw):
-                dxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += gd * w.data[None, :, i, j, None, None]
-        dx = dxp[:, :, ph:ph + h, pw:pw + wd_]
-        if squeeze:
-            dx = dx[0]
-        return dx, dw
+                dxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += g * w.data[None, :, i, j, None, None]
+        return dxp[:, :, ph:ph + h, pw:pw + wd_], dw
 
-    if squeeze:
-        out = out[0]
     return _node(out, "depthwise_conv2d", (x, w), bw)
 
 
 def conv3d(x: Tensor, w: Tensor, stride_d: int = 1) -> Tensor:
     """Depth-only 3D cross-correlation: kernels span the depth axis, spatial extent 1x1.
 
-    x: [C_in,D,H,W] or [N,C_in,D,H,W]; w: [C_out,C_in,kd].
+    x: [N,C_in,D,H,W]; w: [C_out,C_in,kd].
     """
     _check_same_precision("conv3d", x, w)
     if stride_d < 1:
@@ -579,10 +554,9 @@ def conv3d(x: Tensor, w: Tensor, stride_d: int = 1) -> Tensor:
     wd = w.data
     if wd.ndim != 3:
         raise ShapeError(f"conv3d: expected kernel [C_out,C_in,kd], got {w.shape}")
-    squeeze = x.ndim == 4
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 5:
-        raise ShapeError(f"conv3d: expected 4D/5D input, got {x.shape}")
+        raise ShapeError(f"conv3d: expected [N,C_in,D,H,W] input, got {x.shape}")
     n, ci, d, h, wd_sp = xd.shape
     co, ci_w, kd = wd.shape
     if ci != ci_w:
@@ -595,20 +569,15 @@ def conv3d(x: Tensor, w: Tensor, stride_d: int = 1) -> Tensor:
     out = np.einsum("ncdkhw,ock->nodhw", xw, wd, optimize=True)
 
     def bw(g):
-        gd = g[None] if squeeze else g
-        dwk = np.einsum("nodhw,ncdkhw->ock", gd, xw, optimize=True)
-        dxw = np.einsum("nodhw,ock->ncdkhw", gd, wd, optimize=True)
+        dwk = np.einsum("nodhw,ncdkhw->ock", g, xw, optimize=True)
+        dxw = np.einsum("nodhw,ock->ncdkhw", g, wd, optimize=True)
         dx = np.zeros_like(xd)
         # Reverse k adds each depth's terms in np.add.at's order (d' rising),
         # so the sums are bit-identical to the scatter this replaces.
         for k in reversed(range(kd)):
             dx[:, :, k:k + stride_d * do:stride_d] += dxw[:, :, :, k]
-        if squeeze:
-            dx = dx[0]
         return dx, dwk
 
-    if squeeze:
-        out = out[0]
     return _node(out, "conv3d", (x, w), bw)
 
 
@@ -617,14 +586,13 @@ def conv3d(x: Tensor, w: Tensor, stride_d: int = 1) -> Tensor:
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
               running_mean: np.ndarray, running_var: np.ndarray,
-              mode: str = "train", eps: float = 1e-5, momentum: float = 0.1,
-              update_running: Optional[bool] = None) -> Tensor:
+              mode: str = "train", eps: float = 1e-5, momentum: float = 0.1) -> Tensor:
     """Per-channel batch normalization over axis 1 of x [N,C,...].
 
-    Train mode normalizes by batch statistics (population variance) and, unless
-    ``update_running=False``, folds them into the running statistics with the
-    given momentum. Infer mode normalizes by the running statistics. Train mode
-    requires N >= 2.
+    Train mode normalizes by batch statistics (population variance) and folds
+    them into the running statistics with the given momentum; its output and
+    gradients never read the running statistics. Infer mode normalizes by the
+    running statistics. Train mode requires N >= 2.
     """
     if mode not in ("train", "infer"):
         raise UsageError(f"batchnorm mode must be 'train' or 'infer', got {mode!r}")
@@ -647,11 +615,10 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         # np.var's own sequence (subtract, square, sum, divide) on the
         # centered values kept for xhat and backward
         var = np.square(centered).sum(axis=axes) / count
-        if update_running is None or update_running:
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mu.astype(running_mean.dtype)
-            running_var *= 1.0 - momentum
-            running_var += momentum * var.astype(running_var.dtype)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mu.astype(running_mean.dtype)
+        running_var *= 1.0 - momentum
+        running_var += momentum * var.astype(running_var.dtype)
     else:
         centered = xd - running_mean.astype(xd.dtype).reshape(bshape)
         var = running_var.astype(xd.dtype)
@@ -712,7 +679,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,
 
     The scalar objective is a fixed random projection of f's output, so
     outputs whose plain sum is constant (softmax rows) are still exercised.
-    f must be deterministic and must not mutate persistent state. Returns
+    f must be deterministic and must not mutate state it reads. Returns
     ``max_i |analytic_i - numeric_i| / max(1, |analytic_i|, |numeric_i|)``.
     """
     if x.dtype != np.float64:

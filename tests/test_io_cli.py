@@ -46,6 +46,13 @@ class TestPpm:
         with pytest.raises(InputError):
             read_ppm(path)
 
+    @pytest.mark.parametrize("dims", [b"-1 -1", b"0 2", b"2 0"])
+    def test_non_positive_dims(self, tmp_path, dims):
+        path = tmp_path / "neg.ppm"
+        path.write_bytes(b"P6 " + dims + b" 255\nabc")
+        with pytest.raises(InputError, match="at least 1"):
+            read_ppm(path)
+
     def test_single_whitespace_after_maxval(self, tmp_path):
         # one whitespace byte after maxval belongs to the header, the rest is data
         path = tmp_path / "exact.ppm"
@@ -158,6 +165,20 @@ class TestModelFile:
         path.write_bytes(blob[:-6])
         with pytest.raises(FormatError):
             load_model(path)
+
+    def test_failed_save_keeps_existing_file(self, tmp_path, rng, monkeypatch):
+        path = tmp_path / "m.sfcl"
+        save_model(path, {"w": rng.standard_normal(8)})
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(path, {"w": rng.standard_normal(16)})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.sfcl"]
 
     def test_non_float_rejected(self, tmp_path):
         with pytest.raises(UsageError):
@@ -397,6 +418,16 @@ class TestCli:
                          "--out", str(tmp_path / "d.csv")])
         assert code == 1
         capsys.readouterr()
+
+    def test_negative_ppm_dims_is_input_error(self, tmp_path, capsys):
+        img = tmp_path / "neg.ppm"
+        img.write_bytes(b"P6 -1 -1 255\nabc")
+        code = cli.main(["features-sida", "--images", str(img), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["type"] == "InputError" and "at least 1" in err["message"]
 
     def test_csv_is_locale_independent(self, tmp_path):
         path = tmp_path / "x.csv"

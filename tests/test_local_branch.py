@@ -26,27 +26,27 @@ class TestSbcmConfig:
 class TestSbcmForward:
     def test_output_dims(self, rng):
         sbcm = Sbcm(SbcmConfig(), rng, np.float64)
-        out = sbcm.forward(Tensor(rng.standard_normal((3, 64, 8, 8))))
-        assert out.shape == (64, 3, 8, 8)
+        out = sbcm.forward(Tensor(rng.standard_normal((1, 3, 64, 8, 8))))
+        assert out.shape == (1, 64, 3, 8, 8)
 
     def test_zero_input_zero_output(self, rng):
         sbcm = Sbcm(SbcmConfig(), rng, np.float64)
-        out = sbcm.forward(Tensor(np.zeros((3, 64, 4, 4))), mode="infer")
+        out = sbcm.forward(Tensor(np.zeros((1, 3, 64, 4, 4))), mode="infer")
         assert (out.data == 0).all()
 
     def test_wrong_band_count_rejected(self, rng):
         sbcm = Sbcm(SbcmConfig(), rng, np.float64)
         with pytest.raises(ShapeError):
-            sbcm.forward(Tensor(np.zeros((3, 32, 4, 4))))
+            sbcm.forward(Tensor(np.zeros((1, 3, 32, 4, 4))))
 
     def test_never_mixes_spatial_positions(self, rng):
         sbcm = Sbcm(SbcmConfig(widths=(3, 6, 8, 64)), rng, np.float64)
-        x = rng.standard_normal((3, 64, 3, 3))
+        x = rng.standard_normal((1, 3, 64, 3, 3))
         y = x.copy()
-        y[:, :, 1, 2] += 1.5
+        y[:, :, :, 1, 2] += 1.5
         a = sbcm.forward(Tensor(x), mode="infer").data
         b = sbcm.forward(Tensor(y), mode="infer").data
-        diff = np.abs(a - b).sum(axis=(0, 1))
+        diff = np.abs(a - b).sum(axis=(0, 1, 2))
         assert diff[1, 2] > 0
         diff[1, 2] = 0
         assert (diff == 0).all()

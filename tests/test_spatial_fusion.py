@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from sfcl import tensor as T
 from sfcl.errors import ConfigError, ShapeError
 from sfcl.fusion import Classifier, Faae, FaaeConfig, Hcma, HcmaConfig
 from sfcl.layers import global_avg_pool

@@ -52,64 +52,65 @@ class TestMatmul:
 
 class TestConv2d:
     def test_all_ones(self):
-        x = Tensor(np.ones((1, 3, 3)))
+        x = Tensor(np.ones((1, 1, 3, 3)))
         w = Tensor(np.ones((1, 1, 3, 3)))
         out = T.conv2d(x, w)
-        assert out.data.shape == (1, 1, 1)
-        assert out.data[0, 0, 0] == 9.0
+        assert out.data.shape == (1, 1, 1, 1)
+        assert out.data[0, 0, 0, 0] == 9.0
 
     def test_impulse_response_replicates_kernel(self, rng):
-        x = np.zeros((1, 5, 5))
-        x[0, 2, 2] = 1.0
+        x = np.zeros((1, 1, 5, 5))
+        x[0, 0, 2, 2] = 1.0
         w = rng.standard_normal((1, 1, 3, 3))
         out = T.conv2d(Tensor(x), Tensor(w)).data
-        assert out.shape == (1, 3, 3)
+        assert out.shape == (1, 1, 3, 3)
         # cross-correlation against a centered impulse reproduces the kernel
         # content, mirrored: out[p,q] = w[2-p, 2-q]
-        assert np.array_equal(out[0], w[0, 0, ::-1, ::-1])
+        assert np.array_equal(out[0, 0], w[0, 0, ::-1, ::-1])
 
     def test_against_six_loop_oracle(self, rng):
-        x = rng.standard_normal((3, 9, 9))
+        x = rng.standard_normal((2, 3, 9, 9))
         w = rng.standard_normal((4, 3, 3, 3))
         for stride, pad in [((1, 1), (0, 0)), ((2, 2), (1, 1))]:
             got = T.conv2d(Tensor(x), Tensor(w), stride, pad).data
-            want = oracles.conv2d_six_loops(x, w, stride, pad)
+            want = np.stack([oracles.conv2d_six_loops(xi, w, stride, pad) for xi in x])
             assert np.abs(got - want).max() < 1e-12
 
     def test_kernel_larger_than_padded_input(self):
-        with pytest.raises(ShapeError):
-            T.conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 6, 6))))
+        with pytest.raises(ShapeError, match="larger than padded input"):
+            T.conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 6, 6))))
 
     def test_depthwise_against_loops(self, rng):
-        x = rng.standard_normal((4, 7, 7))
+        x = rng.standard_normal((2, 4, 7, 7))
         w = rng.standard_normal((4, 3, 3))
         got = T.depthwise_conv2d(Tensor(x), Tensor(w), (2, 2), (1, 1)).data
-        want = oracles.depthwise_conv2d_loops(x, w, (2, 2), (1, 1))
+        want = np.stack([oracles.depthwise_conv2d_loops(xi, w, (2, 2), (1, 1)) for xi in x])
         assert np.abs(got - want).max() < 1e-12
 
 
 class TestConv3d:
     def test_moving_sum(self):
-        x = Tensor(np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1, 1))
+        x = Tensor(np.array([1.0, 2.0, 3.0]).reshape(1, 1, 3, 1, 1))
         w = Tensor(np.ones((1, 1, 3)))
         out = T.conv3d(x, w)
-        assert out.data.shape == (1, 1, 1, 1)
+        assert out.data.shape == (1, 1, 1, 1, 1)
         assert out.data.reshape(()) == 6.0
 
     def test_depth_schedule(self, rng):
-        x = Tensor(rng.standard_normal((2, 64, 3, 3)))
+        x = Tensor(rng.standard_normal((1, 2, 64, 3, 3)))
         w = Tensor(rng.standard_normal((5, 2, 7)))
-        assert T.conv3d(x, w, stride_d=3).data.shape == (5, 20, 3, 3)
+        assert T.conv3d(x, w, stride_d=3).data.shape == (1, 5, 20, 3, 3)
 
     def test_against_loop_oracle(self, rng):
-        x = rng.standard_normal((2, 10, 3, 4))
+        x = rng.standard_normal((2, 2, 10, 3, 4))
         w = rng.standard_normal((3, 2, 4))
         got = T.conv3d(Tensor(x), Tensor(w), stride_d=2).data
-        assert np.abs(got - oracles.conv3d_depth_loops(x, w, 2)).max() < 1e-12
+        want = np.stack([oracles.conv3d_depth_loops(xi, w, 2) for xi in x])
+        assert np.abs(got - want).max() < 1e-12
 
     def test_kernel_deeper_than_input(self):
-        with pytest.raises(ShapeError):
-            T.conv3d(Tensor(np.zeros((1, 4, 2, 2))), Tensor(np.zeros((1, 1, 5))))
+        with pytest.raises(ShapeError, match="exceeds input depth"):
+            T.conv3d(Tensor(np.zeros((1, 1, 4, 2, 2))), Tensor(np.zeros((1, 1, 5))))
 
     @pytest.mark.parametrize("kd,stride", [(7, 3), (5, 2), (3, 2), (3, 3), (2, 4), (3, 1)])
     def test_backward_bit_equal_to_add_at_scatter(self, rng, kd, stride):
@@ -269,10 +270,30 @@ class TestBatchnorm:
         rm, rv = np.zeros(3), np.ones(3)
 
         def f(x):
-            return T.batchnorm(x, gamma, beta, rm, rv, mode="train", update_running=False)
+            return T.batchnorm(x, gamma, beta, rm, rv, mode="train")
 
         err = T.grad_check(f, Tensor(rng.standard_normal((4, 3, 2, 2))), h=1e-5)
         assert err < 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_mode_never_reads_running_stats(self, rng, dtype):
+        x0 = (rng.standard_normal((5, 3, 2, 4)) * 2 + 1).astype(dtype)
+        g0 = rng.standard_normal(3).astype(dtype)
+        b0 = rng.standard_normal(3).astype(dtype)
+        proj = rng.standard_normal((5, 3, 2, 4)).astype(dtype)
+
+        def run(fill_mean, fill_var):
+            x = Tensor(x0.copy(), requires_grad=True)
+            gamma = Tensor(g0.copy(), requires_grad=True)
+            beta = Tensor(b0.copy(), requires_grad=True)
+            rm, rv = np.full(3, fill_mean, dtype), np.full(3, fill_var, dtype)
+            out = T.batchnorm(x, gamma, beta, rm, rv, mode="train")
+            T.backward(T.reduce_sum(T.mul(out, Tensor(proj))))
+            return out.data, x.grad, gamma.grad, beta.grad
+
+        for clean, poisoned in zip(run(0.0, 1.0), run(np.nan, np.nan)):
+            assert clean.dtype == dtype
+            assert np.array_equal(clean, poisoned)
 
 
 class TestBackward:
@@ -383,9 +404,9 @@ def _op_cases(rng):
         "relu": (lambda x: T.relu(x), (3, 4)),
         "sigmoid": (lambda x: T.sigmoid(x), (3, 4)),
         "matmul": (lambda x: T.matmul(x, Tensor(wm)), (4, 4)),
-        "conv2d": (lambda x: T.conv2d(x, Tensor(w2), (2, 2), (1, 1)), (3, 5, 5)),
-        "conv3d": (lambda x: T.conv3d(x, Tensor(w3), 2), (3, 7, 2, 2)),
-        "depthwise": (lambda x: T.depthwise_conv2d(x, Tensor(wd), (1, 1), (1, 1)), (3, 4, 4)),
+        "conv2d": (lambda x: T.conv2d(x, Tensor(w2), (2, 2), (1, 1)), (2, 3, 5, 5)),
+        "conv3d": (lambda x: T.conv3d(x, Tensor(w3), 2), (2, 3, 7, 2, 2)),
+        "depthwise": (lambda x: T.depthwise_conv2d(x, Tensor(wd), (1, 1), (1, 1)), (2, 3, 4, 4)),
         "softmax": (lambda x: T.softmax_rows(x), (3, 5)),
         "mean": (lambda x: T.reduce_mean(x, axes=(1,)), (3, 4)),
         "sum": (lambda x: T.reduce_sum(x, axes=(0,)), (3, 4)),
@@ -423,8 +444,21 @@ def test_bce_values():
     assert 0 <= big.data[0] < 1e-12
 
 
+@pytest.mark.parametrize("op,x_shape,w_shape", [
+    (T.conv2d, (3, 5, 5), (2, 3, 3, 3)),
+    (T.depthwise_conv2d, (3, 4, 4), (3, 3, 3)),
+    (T.depthwise_conv2d, (4, 4), (1, 3, 3)),
+    (T.depthwise_conv2d, (1, 1, 4, 4), (1, 1, 3, 3)),
+    (T.conv3d, (3, 7, 2, 2), (2, 3, 3)),
+    (T.linear, (4,), (4, 2)),
+])
+def test_wrong_rank_rejected(op, x_shape, w_shape):
+    with pytest.raises(ShapeError, match="expected"):
+        op(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)))
+
+
 def test_determinism_bit_identical(rng):
-    x = rng.standard_normal((1, 6, 6))
+    x = rng.standard_normal((1, 1, 6, 6))
     w = rng.standard_normal((2, 1, 3, 3))
     a = T.conv2d(Tensor(x), Tensor(w), (1, 1), (1, 1)).data
     b = T.conv2d(Tensor(x), Tensor(w), (1, 1), (1, 1)).data
