@@ -7,9 +7,8 @@ built on a small reverse-mode tensor core with finite-difference checking.
 
 from .errors import (ConfigError, FormatError, InputError, NumericError,
                      SfclError, ShapeError, UsageError)
-from .frequency import (BlockSpectra, BoundingBox, PlanarImage, block_dct8,
-                        crop_to_grid, idct8, reconstruct, restructure,
-                        rgb_to_ycbcr, zigzag_flatten, zigzag_unflatten)
+from .frequency import (BlockSpectra, BoundingBox, PlanarImage, crop_to_grid,
+                        reconstruct, restructure, rgb_to_ycbcr)
 from .fusion import Classifier, Faae, FaaeConfig, Hcma, HcmaConfig
 from .local_branch import CnnF, CnnfConfig, Sbcm, SbcmConfig, flatten_bands
 from .metrics import metric_accuracy, metric_auc

@@ -20,14 +20,14 @@ import numpy as np
 
 from .checks import CHECKS, GRAD_TOL, run_check
 from .errors import InputError, NumericError, SfclError, UsageError
-from .frequency import BoundingBox, restructure
+from .frequency import BANDS, BoundingBox, restructure
 from .io import (descriptor_csv_rows, load_bbox_manifest, load_dataset_manifest,
                  read_ppm, write_csv)
 from .metrics import metric_accuracy, metric_auc
 from .model import Detector
 from .modelfile import load_model, save_model
 from .runconfig import load_run_config
-from .sida import sida_from_image
+from .sida import MODES, SidaDescriptor, sida_from_image
 from .synth import Sample, SynthConfig, synth_generate
 from .train import evaluate, train
 
@@ -243,10 +243,11 @@ def _cmd_export_heatmap(args) -> int:
 def _mean_stat_y_slices(directory) -> np.ndarray:
     """Average of the Y-channel mean-statistic rows (row|col|intra), 192 long."""
     files = _list_images(directory)
+    rows = [SidaDescriptor.position("mean", mode, 0, band)
+            for mode in MODES for band in range(BANDS)]
 
     def one(path):
-        d = sida_from_image(read_ppm(path)).values
-        return np.concatenate([d[0:64], d[192:256], d[384:448]])
+        return sida_from_image(read_ppm(path)).values[rows]
 
     return np.mean(_parallel_map(one, files), axis=0)
 
@@ -254,7 +255,7 @@ def _mean_stat_y_slices(directory) -> np.ndarray:
 def _cmd_export_sida_plot(args) -> int:
     real = _mean_stat_y_slices(args.real)
     fake = _mean_stat_y_slices(args.fake)
-    rows = [(i, real[i], fake[i], fake[i] - real[i]) for i in range(192)]
+    rows = [(i, real[i], fake[i], fake[i] - real[i]) for i in range(len(real))]
     write_csv(args.out, ["index", "real_mean", "fake_mean", "diff"], rows)
     _emit({"csv": args.out, "rows": len(rows)})
     return 0

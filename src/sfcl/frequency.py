@@ -4,7 +4,9 @@ An RGB image becomes a restructured 4D tensor of shape
 ``(3 channels, 64 zigzag bands, H/8 block rows, W/8 block cols)``. The
 transform follows the JPEG conventions (level shift by -128, orthonormal
 DCT-II, zigzag band ordering) but applies no quantization, so it is exactly
-invertible.
+invertible. DCT and zigzag are one orthonormal 64x64 matrix,
+``_DCT_ZIGZAG``: :func:`restructure` multiplies each channel's flattened
+blocks by it and :func:`reconstruct` by its transpose.
 """
 
 from __future__ import annotations
@@ -120,7 +122,6 @@ def _zigzag_pairs() -> list:
 
 ZIGZAG_ORDER = _zigzag_pairs()
 _ZIGZAG_FLAT = np.array([r * BLOCK + c for r, c in ZIGZAG_ORDER])
-_ZIGZAG_INVERSE = np.argsort(_ZIGZAG_FLAT)
 # 2D DCT of a flattened 8x8 block as one 64x64 matrix, rows in zigzag order:
 # kron(D, D)[u*8+v, x*8+y] = D[u,x] * D[v,y].
 _DCT_ZIGZAG = np.kron(_DCT, _DCT)[_ZIGZAG_FLAT]
@@ -169,53 +170,6 @@ def _plane_to_blocks(plane: np.ndarray) -> np.ndarray:
     return plane.reshape(h // BLOCK, BLOCK, w // BLOCK, BLOCK).transpose(0, 2, 1, 3)
 
 
-def _blocks_to_plane(blocks: np.ndarray) -> np.ndarray:
-    br, bc = blocks.shape[:2]
-    return blocks.transpose(0, 2, 1, 3).reshape(br * BLOCK, bc * BLOCK)
-
-
-def block_dct8(plane: np.ndarray, level_shift: bool = True) -> np.ndarray:
-    """Per-block orthonormal 2D DCT-II of a plane whose dims are multiples of 8.
-
-    Returns coefficients of shape [rows/8, cols/8, 8, 8].
-    """
-    plane = np.asarray(plane, dtype=np.float64)
-    if plane.ndim != 2 or plane.shape[0] % BLOCK or plane.shape[1] % BLOCK:
-        raise UsageError(
-            f"block_dct8 needs a 2D plane with multiple-of-{BLOCK} dims, got {plane.shape}; crop first")
-    blocks = _plane_to_blocks(plane)
-    if level_shift:
-        blocks = blocks - 128.0
-    return np.einsum("ux,rcxy,vy->rcuv", _DCT, blocks, _DCT, optimize=True)
-
-
-def idct8(coeffs: np.ndarray, level_shift: bool = True) -> np.ndarray:
-    """Exact inverse of :func:`block_dct8`; returns the pixel plane."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.ndim != 4 or coeffs.shape[2:] != (BLOCK, BLOCK):
-        raise UsageError(f"idct8 needs [rows,cols,8,8] coefficients, got {coeffs.shape}")
-    blocks = np.einsum("xu,rcuv,yv->rcxy", _DCT.T, coeffs, _DCT.T, optimize=True)
-    if level_shift:
-        blocks = blocks + 128.0
-    return _blocks_to_plane(blocks)
-
-
-def zigzag_flatten(block: np.ndarray) -> np.ndarray:
-    """8x8 block -> 64-vector in JPEG zigzag (low to high frequency) order."""
-    block = np.asarray(block)
-    if block.shape != (BLOCK, BLOCK):
-        raise UsageError(f"zigzag_flatten needs an 8x8 block, got {block.shape}")
-    return block.reshape(BANDS)[_ZIGZAG_FLAT].copy()
-
-
-def zigzag_unflatten(vector: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`zigzag_flatten`."""
-    vector = np.asarray(vector)
-    if vector.shape != (BANDS,):
-        raise UsageError(f"zigzag_unflatten needs a 64-vector, got {vector.shape}")
-    return vector[_ZIGZAG_INVERSE].reshape(BLOCK, BLOCK).copy()
-
-
 def restructure(img: PlanarImage, bbox: Optional[BoundingBox] = None) -> BlockSpectra:
     """RGB image -> grid crop -> YCbCr -> block DCT -> zigzag bands.
 
@@ -236,10 +190,14 @@ def restructure(img: PlanarImage, bbox: Optional[BoundingBox] = None) -> BlockSp
 
 
 def reconstruct(spectra: BlockSpectra) -> PlanarImage:
-    """Invert :func:`restructure` back to YCbCr pixel planes."""
+    """Invert :func:`restructure` back to YCbCr pixel planes.
+
+    ``_DCT_ZIGZAG`` is orthonormal, so its transpose is its inverse.
+    """
     br, bc = spectra.block_rows, spectra.block_cols
     planes = np.empty((3, br * BLOCK, bc * BLOCK))
     for ch in range(3):
-        flat = spectra.coefficients[ch].transpose(1, 2, 0)[:, :, _ZIGZAG_INVERSE]
-        planes[ch] = idct8(flat.reshape(br, bc, BLOCK, BLOCK))
+        blocks = _DCT_ZIGZAG.T @ spectra.coefficients[ch].reshape(BANDS, br * bc)
+        np.add(blocks.T.reshape(br, bc, BLOCK, BLOCK), 128.0,
+               out=_plane_to_blocks(planes[ch]))
     return PlanarImage(planes, "ycbcr")

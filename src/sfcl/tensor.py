@@ -95,16 +95,6 @@ class Tensor:
             raise UsageError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """A new leaf sharing this tensor's data, cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         head = f"Tensor(shape={self.shape}, {self.precision}"
         if self.requires_grad:

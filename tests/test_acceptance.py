@@ -4,7 +4,9 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the PASS/FAIL lines.
 """
 
 import hashlib
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from sfcl.fusion import Faae, FaaeConfig, Hcma, HcmaConfig
 from sfcl.metrics import metric_accuracy, metric_auc
 from sfcl.model import Detector, desk_detector_config
 from sfcl.modelfile import load_model, save_model
+from sfcl.runconfig import run_config_from_dict
 from sfcl.sida import DifferentialMap, moment_stats, sida_from_image
 from sfcl.synth import SynthConfig, high_band_energy, make_pair, synth_generate
 from sfcl.tensor import Tensor
@@ -30,41 +33,58 @@ def _report(num, name, ok, detail=""):
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
+def _block_row_image(blocks):
+    """[n, 8, 8] blocks as a 1 x n block grid, the same plane on all three
+    channels and tagged YCbCr so restructure runs no colour conversion."""
+    plane = blocks.transpose(1, 0, 2).reshape(8, 8 * len(blocks))
+    return PlanarImage(np.stack([plane] * 3), "ycbcr")
+
+
+def _c01_errors(blocks):
+    """Worst forward error of restructure against the double-sum oracle in
+    the transcribed zigzag order, and worst reconstruct round-trip error."""
+    img = _block_row_image(blocks)
+    spectra = fq.restructure(img)
+    worst_fwd = 0.0
+    for i, block in enumerate(blocks):
+        want = oracles.dct8_double_sum(block).reshape(64)[oracles.ZIGZAG_FLAT_TABLE]
+        worst_fwd = max(worst_fwd, np.abs(spectra.coefficients[:, :, 0, i] - want).max())
+    worst_rt = np.abs(fq.reconstruct(spectra).pixels - img.pixels).max()
+    return worst_fwd, worst_rt
+
+
 def test_c01_dct_fidelity():
     start = time.monotonic()
-    rng = np.random.default_rng(101)
-    blocks = rng.uniform(0, 255, (1000, 8, 8))
-    plane = blocks.transpose(1, 0, 2).reshape(8, 8000)  # 1 x 1000 block grid
-    coeffs = fq.block_dct8(plane)[0]
-
-    worst_fwd = 0.0
-    for i in range(1000):
-        worst_fwd = max(worst_fwd, np.abs(coeffs[i] - oracles.dct8_double_sum(blocks[i])).max())
-
-    back = fq.idct8(fq.block_dct8(plane))
-    worst_rt = np.abs(back - plane).max()
+    blocks = np.random.default_rng(101).uniform(0, 255, (1000, 8, 8))
+    worst_fwd, worst_rt = _c01_errors(blocks)
     elapsed = time.monotonic() - start
     ok = worst_fwd < 1e-10 and worst_rt < 1e-8 and elapsed < 5.0
     _report(1, "DCT fidelity (1000 blocks)", ok,
             f"fwd {worst_fwd:.2e} rt {worst_rt:.2e} in {elapsed:.2f}s")
 
 
+def test_c01_catches_a_perturbed_dct_matrix(monkeypatch):
+    perturbed = fq._DCT_ZIGZAG.copy()
+    perturbed[5, 17] += 1e-9
+    monkeypatch.setattr(fq, "_DCT_ZIGZAG", perturbed)
+    blocks = np.random.default_rng(101).uniform(0, 255, (20, 8, 8))
+    worst_fwd, _ = _c01_errors(blocks)
+    assert worst_fwd > 1e-10
+
+
 def test_c02_zigzag():
-    block = np.arange(64.0).reshape(8, 8)
-    flat = fq.zigzag_flatten(block)
-    bijection = sorted(flat.tolist()) == list(range(64))
-    identity = np.array_equal(fq.zigzag_unflatten(flat), block)
+    flat = fq._ZIGZAG_FLAT.tolist()
+    bijection = sorted(flat) == list(range(64))
+    table = flat == oracles.ZIGZAG_FLAT_TABLE
+    order = [r * 8 + c for r, c in fq.ZIGZAG_ORDER] == oracles.ZIGZAG_FLAT_TABLE
     first_six = fq.ZIGZAG_ORDER[:6] == [(0, 0), (0, 1), (1, 0), (2, 0), (1, 1), (0, 2)]
-    table = list(flat) == oracles.ZIGZAG_FLAT_TABLE
-    _report(2, "zigzag bijection and order", bijection and identity and first_six and table)
+    _report(2, "zigzag bijection and order", bijection and table and order and first_six)
 
 
 def test_c03_energy_preservation():
-    rng = np.random.default_rng(103)
-    blocks = rng.uniform(0, 255, (1000, 8, 8))
-    plane = blocks.transpose(1, 0, 2).reshape(8, 8000)
-    coeffs = fq.block_dct8(plane)[0]
-    coeff_energy = (coeffs ** 2).sum(axis=(1, 2))
+    blocks = np.random.default_rng(103).uniform(0, 255, (1000, 8, 8))
+    coeffs = fq.restructure(_block_row_image(blocks)).coefficients[0, :, 0, :]
+    coeff_energy = (coeffs ** 2).sum(axis=0)
     pixel_energy = ((blocks - 128.0) ** 2).sum(axis=(1, 2))
     rel = np.abs(coeff_energy - pixel_energy) / pixel_energy
     _report(3, "per-block energy preservation", rel.max() < 1e-6, f"max rel {rel.max():.2e}")
@@ -182,14 +202,16 @@ def test_c09_synthetic_separability():
     _report(9, "synthetic high-band separability", lower >= 90, f"{lower}/100 pairs")
 
 
+C10_TRAIN = TrainConfig(learning_rate=0.001, weight_decay=1e-8, batch_size=20,
+                        epochs=10, seed=2)
+
+
 def test_c10_toy_end_to_end():
     start = time.monotonic()
     train_samples = synth_generate(SynthConfig(count=400, seed=11))
     test_samples = synth_generate(SynthConfig(count=100, seed=99))
     model = Detector(desk_detector_config(init_seed=1))
-    cfg = TrainConfig(learning_rate=0.001, weight_decay=1e-8, batch_size=20,
-                      epochs=10, seed=2)
-    log = train(model, train_samples, cfg)
+    log = train(model, train_samples, C10_TRAIN)
     probs, labels = evaluate(model, test_samples)
     auc = metric_auc(probs, labels)
     acc = metric_accuracy(probs, labels)
@@ -199,6 +221,15 @@ def test_c10_toy_end_to_end():
     _report(10, "toy end-to-end training", ok,
             f"AUC {auc:.4f} Acc {acc:.4f} train-acc {train_acc:.4f} "
             f"({len(log)} epochs, {elapsed:.0f}s)")
+
+
+def test_readme_desk_profile_matches_c10():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    run = run_config_from_dict(json.loads(block))
+    assert run.detector_config() == desk_detector_config()
+    assert run.train == C10_TRAIN
 
 
 def test_c11_ablation_seams():

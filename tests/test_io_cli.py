@@ -15,6 +15,7 @@ from sfcl.io import (load_bbox_manifest, load_dataset_manifest, read_ppm,
                      write_csv, write_ppm)
 from sfcl.modelfile import load_model, save_model
 from sfcl.runconfig import load_run_config, run_config_from_dict
+from sfcl.sida import MODES, SidaDescriptor, sida_from_image
 from sfcl.synth import SynthConfig, synth_generate
 
 
@@ -357,6 +358,12 @@ class TestCli:
         assert lines[0] == "index,real_mean,fake_mean,diff"
         assert len(lines) == 193
         assert all(float(line.split(",")[3]) == 0.0 for line in lines[1:])
+        descriptors = [sida_from_image(read_ppm(os.path.join(data, name))).values
+                       for name in sorted(os.listdir(data)) if name.endswith(".ppm")]
+        want = [np.mean([d[SidaDescriptor.position("mean", mode, 0, band)]
+                         for d in descriptors])
+                for mode in MODES for band in range(64)]
+        assert [float(line.split(",")[1]) for line in lines[1:]] == want
         capsys.readouterr()
 
     def test_gradcheck_exit_code(self, capsys):
