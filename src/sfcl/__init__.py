@@ -19,7 +19,7 @@ from .sida import (DESCRIPTOR_LENGTH, DifferentialMap, SidaDescriptor,
                    assemble_descriptor, block_differential, moment_stats,
                    sida_descriptor, sida_from_image)
 from .spatial import BackboneConfig, SpatialBackbone
-from .synth import Sample, SynthConfig, high_band_energy, make_pair, synth_generate
+from .synth import Sample, SynthConfig, make_pair, synth_generate
 from .tensor import Tape, Tensor, backward, grad_check
 from .train import Adam, TrainConfig, adam_step, bce_loss, evaluate, train
 

@@ -52,10 +52,6 @@ class SbcmConfig:
         if self.widths[-1] != 64:
             raise ConfigError(f"final channel width must be 64, got {self.widths[-1]}")
 
-    @property
-    def depth_chain(self) -> List[int]:
-        return _depth_chain(SBCM_INPUT_BANDS, self.kernels, self.strides)
-
 
 @dataclass
 class CnnfConfig:

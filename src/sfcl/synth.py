@@ -18,7 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .frequency import BoundingBox, PlanarImage, restructure
+from .frequency import BoundingBox, PlanarImage
 from .io import write_dataset_manifest, write_ppm
 
 RECIPES = ("resample", "blend", "mixed")
@@ -172,8 +172,3 @@ def synth_generate(cfg: SynthConfig, out_dir=None) -> List[Sample]:
             raise InputError(f"cannot write dataset to {out_dir}: {exc}") from exc
     return samples
 
-
-def high_band_energy(img: PlanarImage, first_band: int = 33) -> float:
-    """Mean squared Y-channel coefficient magnitude over bands >= first_band."""
-    spectra = restructure(img)
-    return float((spectra.coefficients[0, first_band:] ** 2).mean())

@@ -11,6 +11,9 @@ Design constraints honoured throughout:
 * one precision per expression graph (mixing float32/float64 raises),
 * no implicit broadcasting except scalar-with-tensor,
 * one backward pass per forward pass (a second backward raises),
+* a backward closure returns ``None`` for a parent that does not require
+  grad (the convolutions and ``linear`` skip that work; ``backward``
+  skips ``None``),
 * convolution uses the cross-correlation convention (no kernel flip).
 """
 
@@ -431,8 +434,8 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         y = y + b.data[None, :]
 
     def bw(g):
-        dx = g @ w.data.T
-        dw = xd.T @ g
+        dx = g @ w.data.T if x.requires_grad else None
+        dw = xd.T @ g if w.requires_grad else None
         if b is None:
             return dx, dw
         return dx, dw, g.sum(axis=0)
@@ -488,13 +491,18 @@ def conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
     out = np.einsum("ncpqij,ocij->nopq", win, w.data, optimize=True)
 
     def bw(g):
-        dw = np.einsum("nopq,ncpqij->ocij", g, win, optimize=True)
-        dxp = np.zeros_like(xp)
+        dw = np.einsum("nopq,ncpqij->ocij", g, win, optimize=True) if w.requires_grad else None
+        if not x.requires_grad:
+            return None, dw
+        # Channels-last accumulator: each tap adds rows of C contiguous values.
+        # dx is handed on C-ordered: reductions downstream sum in memory
+        # order, so a transposed view would change their bits.
+        dxp = np.zeros((n, hp, wp, ci), dtype=xd.dtype)
         for i in range(kh):
             for j in range(kw):
-                dxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += np.einsum(
-                    "nopq,oc->ncpq", g, w.data[:, :, i, j], optimize=True)
-        return dxp[:, :, ph:ph + h, pw:pw + wd_], dw
+                dxp[:, i:i + sh * ho:sh, j:j + sw * wo:sw] += np.einsum(
+                    "nopq,oc->npqc", g, w.data[:, :, i, j], optimize=True)
+        return np.ascontiguousarray(dxp[:, ph:ph + h, pw:pw + wd_].transpose(0, 3, 1, 2)), dw
 
     return _node(out, "conv2d", (x, w), bw)
 
@@ -523,12 +531,16 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
     out = np.einsum("ncpqij,cij->ncpq", win, w.data, optimize=True)
 
     def bw(g):
-        dw = np.einsum("ncpq,ncpqij->cij", g, win, optimize=True)
-        dxp = np.zeros_like(xp)
+        dw = np.einsum("ncpq,ncpqij->cij", g, win, optimize=True) if w.requires_grad else None
+        if not x.requires_grad:
+            return None, dw
+        # Channels-last accumulator, handed on C-ordered, as in conv2d.
+        g_last = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
+        dxp = np.zeros((n, hp, wp, c), dtype=xd.dtype)
         for i in range(kh):
             for j in range(kw):
-                dxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += g * w.data[None, :, i, j, None, None]
-        return dxp[:, :, ph:ph + h, pw:pw + wd_], dw
+                dxp[:, i:i + sh * ho:sh, j:j + sw * wo:sw] += g_last * w.data[:, i, j]
+        return np.ascontiguousarray(dxp[:, ph:ph + h, pw:pw + wd_].transpose(0, 3, 1, 2)), dw
 
     return _node(out, "depthwise_conv2d", (x, w), bw)
 
@@ -559,7 +571,9 @@ def conv3d(x: Tensor, w: Tensor, stride_d: int = 1) -> Tensor:
     out = np.einsum("ncdkhw,ock->nodhw", xw, wd, optimize=True)
 
     def bw(g):
-        dwk = np.einsum("nodhw,ncdkhw->ock", g, xw, optimize=True)
+        dwk = np.einsum("nodhw,ncdkhw->ock", g, xw, optimize=True) if w.requires_grad else None
+        if not x.requires_grad:
+            return None, dwk
         dxw = np.einsum("nodhw,ock->ncdkhw", g, wd, optimize=True)
         dx = np.zeros_like(xd)
         # Reverse k adds each depth's terms in np.add.at's order (d' rising),
@@ -620,14 +634,15 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
     def bw(g):
         dgamma = (g * xhat).sum(axis=axes)
         dbeta = g.sum(axis=axes)
-        dxhat = g * gamma.data.reshape(bshape)
+        scale = gamma.data.reshape(bshape) * inv_b
         if mode == "infer":
-            dx = dxhat * inv_b
-            return dx, dgamma, dbeta
-        dvar = (dxhat * centered).sum(axis=axes, keepdims=True) * (-0.5) * inv_b ** 3
-        dmu = (-inv_b) * dxhat.sum(axis=axes, keepdims=True) \
-            + dvar * (-2.0 / count) * centered.sum(axis=axes, keepdims=True)
-        dx = dxhat * inv_b + dvar * (2.0 / count) * centered + dmu / count
+            return g * scale, dgamma, dbeta
+        # Closed form (Ioffe & Szegedy 2015, section 3):
+        # dx = gamma * inv_sigma * (g - sum(g)/m - xhat * sum(g * xhat)/m)
+        dx = xhat * (dgamma / -count).reshape(bshape)
+        dx += g
+        dx -= (dbeta / count).reshape(bshape)
+        dx *= scale
         return dx, dgamma, dbeta
 
     return _node(out, "batchnorm", (x, gamma, beta), bw)

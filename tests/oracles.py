@@ -2,11 +2,15 @@
 
 Everything here is deliberately naive (explicit loops, two-pass compensated
 summation, hardcoded tables) and shares no code with the package internals.
+The one exception is ``high_band_energy``, a test measure of the synthetic
+data computed over the shipped ``restructure``.
 """
 
 import math
 
 import numpy as np
+
+from sfcl.frequency import restructure
 
 # Canonical JPEG zigzag traversal as flat indices (row*8 + col), transcribed
 # from the JPEG specification's table rather than generated.
@@ -215,3 +219,9 @@ def adam_scalar_oracle(theta0, grads, lr, weight_decay, beta1=0.9, beta2=0.999,
         theta -= lr * m_hat / (math.sqrt(v_hat) + eps)
         history.append(theta)
     return history
+
+
+def high_band_energy(img, first_band=33):
+    """Mean squared Y-channel coefficient magnitude over bands >= first_band."""
+    spectra = restructure(img)
+    return float((spectra.coefficients[0, first_band:] ** 2).mean())

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sfcl import local_branch
 from sfcl import tensor as T
 from sfcl.errors import ConfigError, ShapeError
 from sfcl.layers import global_avg_pool
@@ -12,7 +13,7 @@ from sfcl.tensor import Tensor
 
 class TestSbcmConfig:
     def test_default_depth_chain(self):
-        assert SbcmConfig().depth_chain == [64, 20, 8, 3]
+        assert local_branch._depth_chain(64, (7, 5, 3), (3, 2, 2)) == [64, 20, 8, 3]
 
     def test_bad_depth_chain_rejected(self):
         with pytest.raises(ConfigError):

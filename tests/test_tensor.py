@@ -127,6 +127,91 @@ class TestConv3d:
         assert np.array_equal(x.grad, want)
 
 
+def _conv2d_dx_nchw_taps(g, w, x_shape, stride, pad):
+    """The NCHW tap loop conv2d's backward ran before its channels-last scatter."""
+    (sh, sw), (ph, pw) = stride, pad
+    n, c, h, wd = x_shape
+    kh, kw = w.shape[-2:]
+    ho, wo = g.shape[2:]
+    dxp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), dtype=g.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += np.einsum(
+                "nopq,oc->ncpq", g, w[:, :, i, j], optimize=True)
+    return dxp[:, :, ph:ph + h, pw:pw + wd]
+
+
+def _depthwise_dx_nchw_taps(g, w, x_shape, stride, pad):
+    """The NCHW tap loop depthwise_conv2d's backward ran before its channels-last scatter."""
+    (sh, sw), (ph, pw) = stride, pad
+    n, c, h, wd = x_shape
+    kh, kw = w.shape[-2:]
+    ho, wo = g.shape[2:]
+    dxp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), dtype=g.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += g * w[None, :, i, j, None, None]
+    return dxp[:, :, ph:ph + h, pw:pw + wd]
+
+
+class TestConvInputGradient:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("op,w_lead,want_dx", [
+        (T.conv2d, (5, 4), _conv2d_dx_nchw_taps),
+        (T.depthwise_conv2d, (4,), _depthwise_dx_nchw_taps),
+    ], ids=["conv2d", "depthwise"])
+    def test_dx_bit_equal_to_nchw_tap_loop(self, rng, op, w_lead, want_dx, stride, pad, k, dtype):
+        x = Tensor(rng.standard_normal((3, 4, 7, 6)).astype(dtype), requires_grad=True)
+        w = Tensor(rng.standard_normal(w_lead + (k, k)).astype(dtype), requires_grad=True)
+        out = op(x, w, (stride, stride), (pad, pad))
+        g = rng.standard_normal(out.shape).astype(dtype)
+        T.backward(T.reduce_sum(T.mul(out, Tensor(g))))
+        want = want_dx(g, w.data, x.shape, (stride, stride), (pad, pad))
+        assert x.grad.dtype == dtype
+        assert x.grad.flags.c_contiguous  # downstream reductions sum in memory order
+        assert np.array_equal(x.grad, want)
+
+
+def _weighted_ops(rng):
+    """(op, x, weights): each op with an input and the weights it learns."""
+    return {
+        "conv2d": (lambda x, w: T.conv2d(x, w[0], (2, 2), (1, 1)),
+                   rng.standard_normal((2, 3, 6, 5)), [rng.standard_normal((4, 3, 3, 3))]),
+        "depthwise": (lambda x, w: T.depthwise_conv2d(x, w[0], (1, 1), (1, 1)),
+                      rng.standard_normal((2, 3, 5, 5)), [rng.standard_normal((3, 3, 3))]),
+        "conv3d": (lambda x, w: T.conv3d(x, w[0], 2),
+                   rng.standard_normal((2, 3, 9, 2, 3)), [rng.standard_normal((4, 3, 3))]),
+        "linear": (lambda x, w: T.linear(x, w[0], w[1]),
+                   rng.standard_normal((5, 6)), [rng.standard_normal((6, 4)), rng.standard_normal(4)]),
+    }
+
+
+@pytest.mark.parametrize("name", ["conv2d", "depthwise", "conv3d", "linear"])
+def test_backward_skips_input_gradient_nobody_reads(rng, name):
+    op, x0, w0 = _weighted_ops(rng)[name]
+    g = None
+    grads = {}
+    for x_requires in (True, False):
+        x = Tensor(x0.copy(), requires_grad=x_requires)
+        ws = [Tensor(a.copy(), requires_grad=True) for a in w0]
+        out = op(x, ws)
+        if g is None:
+            g = rng.standard_normal(out.shape)
+        closure = out._backward
+        T.backward(T.reduce_sum(T.mul(out, Tensor(g))))
+        grads[x_requires] = [t.grad for t in ws]
+        if not x_requires:
+            assert x.grad is None
+            assert closure(g)[0] is None  # the closure computes no dx at all
+        else:
+            assert x.grad is not None
+    for with_dx, without_dx in zip(grads[True], grads[False]):
+        assert np.array_equal(with_dx, without_dx)
+
+
 class TestSoftmax:
     def test_symmetry(self):
         out = T.softmax_rows(Tensor([[0.0, 0.0, 0.0]]))
@@ -294,6 +379,43 @@ class TestBatchnorm:
         for clean, poisoned in zip(run(0.0, 1.0), run(np.nan, np.nan)):
             assert clean.dtype == dtype
             assert np.array_equal(clean, poisoned)
+
+    @staticmethod
+    def _backward_by_chain_rule(x, gamma, g, eps=1e-5):
+        """Train-mode batchnorm backward through dvar and dmu, as before the closed form."""
+        axes = (0,) + tuple(range(2, x.ndim))
+        bshape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+        count = x.size // x.shape[1]
+        centered = x - x.mean(axis=axes).reshape(bshape)
+        var = np.square(centered).sum(axis=axes) / count
+        inv_b = (1.0 / np.sqrt(var + eps)).reshape(bshape)
+        xhat = centered * inv_b
+        dgamma = (g * xhat).sum(axis=axes)
+        dbeta = g.sum(axis=axes)
+        dxhat = g * gamma.reshape(bshape)
+        dvar = (dxhat * centered).sum(axis=axes, keepdims=True) * (-0.5) * inv_b ** 3
+        dmu = (-inv_b) * dxhat.sum(axis=axes, keepdims=True) \
+            + dvar * (-2.0 / count) * centered.sum(axis=axes, keepdims=True)
+        dx = dxhat * inv_b + dvar * (2.0 / count) * centered + dmu / count
+        return dx, dgamma, dbeta
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    @pytest.mark.parametrize("shape", [(6, 4, 5, 7), (4, 3, 20, 8, 8), (5, 3)],
+                             ids=["nchw", "sbcm", "vector"])
+    def test_closed_form_backward_matches_chain_rule(self, rng, dtype, tol, shape):
+        c = shape[1]
+        x0 = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
+        g0 = rng.standard_normal(c).astype(dtype) * 0.3 + 1
+        g = rng.standard_normal(shape).astype(dtype)
+        x = Tensor(x0.copy(), requires_grad=True)
+        gamma = Tensor(g0.copy(), requires_grad=True)
+        beta = Tensor(np.zeros(c, dtype), requires_grad=True)
+        out = T.batchnorm(x, gamma, beta, np.zeros(c, dtype), np.ones(c, dtype), mode="train")
+        T.backward(T.reduce_sum(T.mul(out, Tensor(g))))
+        for got, want in zip((x.grad, gamma.grad, beta.grad),
+                             self._backward_by_chain_rule(x0, g0, g)):
+            assert got.dtype == dtype
+            assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
 
 class TestBackward:

@@ -13,7 +13,7 @@ from sfcl.errors import ConfigError, UsageError
 from sfcl.frequency import PlanarImage
 from sfcl.metrics import metric_accuracy, metric_auc
 from sfcl.model import Detector, desk_detector_config, extract_frontend
-from sfcl.synth import SynthConfig, high_band_energy, make_pair, synth_generate
+from sfcl.synth import SynthConfig, make_pair, synth_generate
 from sfcl.tensor import Tensor
 from sfcl.train import Adam, TrainConfig, adam_step, bce_loss, evaluate, train
 from sfcl.checks import tiny_detector_config
@@ -35,8 +35,8 @@ class TestSynth:
         lower = 0
         for i in range(20):
             real, fake = make_pair(cfg, i)
-            lower += high_band_energy(PlanarImage(fake, "rgb")) < \
-                high_band_energy(PlanarImage(real, "rgb"))
+            lower += oracles.high_band_energy(PlanarImage(fake, "rgb")) < \
+                oracles.high_band_energy(PlanarImage(real, "rgb"))
         assert lower >= 18
 
     def test_bad_recipe_rejected(self):
