@@ -1,6 +1,6 @@
 """Cross-modal fusion: shallow attention enhancement and deep gated attention.
 
-The shallow stage (FAAE) builds an attention map over spatial positions from
+The shallow stage (FAAE) attends over spatial positions with
 concatenated frequency/spatial query-key projections and injects gated
 frequency context back into the spatial features through a residual path
 whose strength a learnable scalar controls. The deep stage (HCMA) projects
@@ -63,30 +63,35 @@ class Faae(Layer):
         self.bn = BatchNormLayer(cs, dtype)
         self.gamma_s = Tensor(np.zeros((), dtype=dtype), requires_grad=True)
 
-    def attention(self, x_f: Tensor, x_s: Tensor) -> Tensor:
-        """Cross-modal attention over spatial positions: [N, HW, HW] rows sum to 1."""
+    def _query_key(self, x_f: Tensor, x_s: Tensor) -> Tuple[Tensor, Tensor, float]:
+        """Query and key tokens [N, HW, 2*d_a] and the score scale."""
         if x_f.shape[-2:] != x_s.shape[-2:]:
             raise ShapeError(
                 f"spatial dims differ: frequency {x_f.shape} vs spatial {x_s.shape}; no silent resampling")
         tf, ts = _tokens(x_f), _tokens(x_s)
         m_query = T.concat([T.matmul(tf, self.q_f.w), T.matmul(ts, self.q_s.w)], axis=2)
         m_key = T.concat([T.matmul(tf, self.k_f.w), T.matmul(ts, self.k_s.w)], axis=2)
-        scale = 1.0 / math.sqrt(2 * self.cfg.attn_dim)
+        return m_query, m_key, 1.0 / math.sqrt(2 * self.cfg.attn_dim)
+
+    def attention(self, x_f: Tensor, x_s: Tensor) -> Tensor:
+        """The [N, HW, HW] map ``forward`` applies, built unfused: rows sum to 1.
+
+        A diagnostic: ``forward`` never builds it.
+        """
+        m_query, m_key, scale = self._query_key(x_f, x_s)
         scores = T.mul(T.matmul(m_query, T.transpose(m_key, (0, 2, 1))), scale)
         return T.softmax_rows(scores)
 
-    def enhance(self, x_s: Tensor, x_f: Tensor, alpha: Tensor, mode: str = "infer") -> Tensor:
+    def forward(self, x_f: Tensor, x_s: Tensor, mode: str = "infer") -> Tensor:
         """Residual injection of gated frequency context: returns Y_S, same shape as X_S."""
+        m_query, m_key, scale = self._query_key(x_f, x_s)
         n, cs, h, w = x_s.shape
         values = T.matmul(_tokens(x_f), self.v_f.w)          # [N, HW, Cs]
-        context = T.matmul(alpha, values)                    # attention application
+        context = T.attention(m_query, m_key, values, scale)
         context = T.mul(context, T.sigmoid(self.gamma_s))
         context = T.matmul(context, self.out.w)
         residual = self.bn.forward(_untokens(context, h, w), mode)
         return T.add(x_s, residual)
-
-    def forward(self, x_f: Tensor, x_s: Tensor, mode: str = "infer") -> Tensor:
-        return self.enhance(x_s, x_f, self.attention(x_f, x_s), mode)
 
 
 @dataclass
@@ -158,8 +163,7 @@ class Hcma(Layer):
         k = self._split_heads(T.matmul(fk, self.w_k.w))
         v = self._split_heads(T.matmul(fk, self.w_v.w))
         scale = 1.0 / math.sqrt(cfg.embed_dim / cfg.heads)
-        alpha = T.softmax_rows(T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), scale))
-        attended = T.matmul(alpha, v)
+        attended = T.attention(q, k, v, scale)
         a_flat = self._merge_heads(attended, n)
         res = self.bn.forward(self.residual.forward(s1), mode)
         a_res = T.add(a_flat, res)
@@ -170,7 +174,7 @@ class Hcma(Layer):
             g = None
             fused = a_res
         if internals is not None:
-            internals.update(alpha=alpha, attended=a_flat,
+            internals.update(attended=a_flat,
                              values=self._merge_heads(v, n), gate=g, residual_sum=a_res)
         return fused
 

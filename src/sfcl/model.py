@@ -77,6 +77,7 @@ class FrontendBatch:
     labels: Optional[np.ndarray] = None
 
     def subset(self, idx) -> "FrontendBatch":
+        """Rows ``idx`` of every array: copies for an index array, views for a slice."""
         return FrontendBatch(self.pixels[idx], self.spectra[idx], self.descriptors[idx],
                              None if self.labels is None else self.labels[idx])
 

@@ -14,7 +14,10 @@ Design constraints honoured throughout:
 * a backward closure returns ``None`` for a parent that does not require
   grad (the convolutions and ``linear`` skip that work; ``backward``
   skips ``None``),
-* convolution uses the cross-correlation convention (no kernel flip).
+* convolution uses the cross-correlation convention (no kernel flip),
+* ``attention`` never builds its [B, M, L] score map: each chunk it
+  computes always covers whole score rows, so every row's softmax runs on
+  complete rows, as the unfused ``matmul``/``softmax_rows`` chain's does.
 """
 
 from __future__ import annotations
@@ -444,19 +447,110 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return _node(y, "linear", parents, bw)
 
 
+def _softmax_last_(s: np.ndarray, op: str) -> np.ndarray:
+    """Softmax over the last axis of ``s``, computed in place and returned.
+
+    Row max, subtract, exp, sum, divide. The max propagates NaN, so a NaN
+    anywhere in a row raises here.
+    """
+    top = s.max(axis=-1, keepdims=True)
+    if np.isnan(top).any():
+        raise NumericError(f"{op} received NaN input")
+    s -= top
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-stable softmax along the last axis (rows for the 2D case)."""
-    if np.isnan(x.data).any():
-        raise NumericError("softmax_rows received NaN input")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax_last_(x.data.copy(), "softmax_rows")
 
     def bw(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
     return _node(y, "softmax_rows", (x,), bw)
+
+
+# Scores per attention chunk: 256 KiB of float32, so the softmax passes over
+# a chunk run in cache.
+_ATTN_CHUNK = 1 << 16
+# Fewest rows in a chunk of one sample's rows: below this the products are
+# too small, and BLAS repacks all of k for each chunk (a 1024 px image's
+# FAAE took 7.3 s in chunks of 4 rows and 1.9 s in chunks of 64).
+_ATTN_ROWS = 64
+
+
+def _attention_chunks(b: int, m: int, l: int, split_rows: bool) -> list:
+    """(sample slice, row slice) pairs that cover [B, M] in whole score rows.
+
+    A chunk is as many whole samples as fit in ``_ATTN_CHUNK`` scores, at
+    least one. With ``split_rows``, a sample whose map is larger than that
+    is cut into chunks of ``_ATTN_CHUNK`` scores' rows, at least
+    ``_ATTN_ROWS``.
+    """
+    per_sample = m * l
+    if per_sample <= _ATTN_CHUNK or not split_rows:
+        step = max(1, _ATTN_CHUNK // per_sample)
+        return [(slice(i, i + step), slice(None)) for i in range(0, b, step)]
+    rows = max(_ATTN_ROWS, _ATTN_CHUNK // l)
+    return [(slice(i, i + 1), slice(r, r + rows)) for i in range(b) for r in range(0, m, rows)]
+
+
+def _attention_probs(q: np.ndarray, kt: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    s = np.matmul(q, kt)
+    s *= scale
+    return _softmax_last_(s, "attention")
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
+    """``softmax_rows(q @ kᵀ · scale) @ v`` without the [B, M, L] score map.
+
+    q: [B, M, d], k: [B, L, d], v: [B, L, dv] -> [B, M, dv]. The forward
+    runs the unfused chain's steps on one chunk of whole score rows at a
+    time and writes its ``@ v`` into the output slice. The graph keeps q, k
+    and v; backward recomputes the probabilities a chunk of whole samples
+    at a time and applies the chain's formulas, so the gradients equal the
+    chain's bit for bit. So does the output while a chunk holds whole
+    samples (maps of up to ``_ATTN_CHUNK`` scores). A larger map is cut
+    into chunks of rows, and BLAS may round the product of some rows
+    differently from the same rows of the whole product, so there the
+    output can differ from the chain's in the last bits.
+    """
+    _check_same_precision("attention", q, k, v)
+    qd, kd, vd = q.data, k.data, v.data
+    if not (qd.ndim == kd.ndim == vd.ndim == 3
+            and qd.shape[0] == kd.shape[0] == vd.shape[0]
+            and qd.shape[2] == kd.shape[2] and kd.shape[1] == vd.shape[1]
+            and qd.shape[1] > 0 and kd.shape[1] > 0):
+        raise ShapeError(f"attention: expected q [B,M,d], k [B,L,d], v [B,L,dv] with M, L >= 1, "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
+    b, m, _ = qd.shape
+    l = kd.shape[1]
+    kt = kd.transpose(0, 2, 1)
+    scale = np.asarray(scale, dtype=qd.dtype)  # as mul's scalar operand
+    out = np.empty((b, m, vd.shape[2]), dtype=qd.dtype)
+    for n, r in _attention_chunks(b, m, l, split_rows=True):
+        np.matmul(_attention_probs(qd[n, r], kt[n], scale), vd[n], out=out[n, r])
+
+    def bw(g):
+        dq = np.empty(qd.shape, dtype=qd.dtype)
+        dkt = np.empty((b, kd.shape[2], l), dtype=kd.dtype)
+        dv = np.empty(vd.shape, dtype=vd.dtype)
+        for n, _ in _attention_chunks(b, m, l, split_rows=False):
+            p = _attention_probs(qd[n], kt[n], scale)
+            np.matmul(p.transpose(0, 2, 1), g[n], out=dv[n])
+            ds = g[n] @ vd[n].transpose(0, 2, 1)  # gradient of the probabilities
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= scale
+            np.matmul(ds, kd[n], out=dq[n])
+            np.matmul(qd[n].transpose(0, 2, 1), ds, out=dkt[n])
+        # dk as the transposed view transpose's backward hands on
+        return dq, dkt.transpose(0, 2, 1), dv
+
+    return _node(out, "attention", (q, k, v), bw)
 
 
 # -- convolutions ----------------------------------------------------------
@@ -566,12 +660,11 @@ def conv3d(x: Tensor, w: Tensor, stride_d: int = 1) -> Tensor:
     if kd > d:
         raise ShapeError(f"conv3d: kernel depth {kd} exceeds input depth {d}")
     do = (d - kd) // stride_d + 1
-    idx = np.arange(do)[:, None] * stride_d + np.arange(kd)[None, :]
-    xw = xd[:, :, idx]  # [N,C_in,D',kd,H,W]
-    out = np.einsum("ncdkhw,ock->nodhw", xw, wd, optimize=True)
+    xw = sliding_window_view(xd, kd, axis=2)[:, :, ::stride_d]  # [N,C_in,D',H,W,kd], a view
+    out = np.einsum("ncdhwk,ock->nodhw", xw, wd, optimize=True)
 
     def bw(g):
-        dwk = np.einsum("nodhw,ncdkhw->ock", g, xw, optimize=True) if w.requires_grad else None
+        dwk = np.einsum("nodhw,ncdhwk->ock", g, xw, optimize=True) if w.requires_grad else None
         if not x.requires_grad:
             return None, dwk
         dxw = np.einsum("nodhw,ock->ncdkhw", g, wd, optimize=True)
@@ -617,7 +710,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         mu = xd.mean(axis=axes)
         centered = xd - mu.reshape(bshape)
         # np.var's own sequence (subtract, square, sum, divide) on the
-        # centered values kept for xhat and backward
+        # centered values, which then become xhat
         var = np.square(centered).sum(axis=axes) / count
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu.astype(running_mean.dtype)
@@ -628,8 +721,10 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         var = running_var.astype(xd.dtype)
 
     inv_b = (1.0 / np.sqrt(var + eps)).reshape(bshape)
-    xhat = centered * inv_b
-    out = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
+    xhat = centered
+    xhat *= inv_b  # in place: nothing reads centered again
+    out = xhat * gamma.data.reshape(bshape)
+    out += beta.data.reshape(bshape)
 
     def bw(g):
         dgamma = (g * xhat).sum(axis=axes)

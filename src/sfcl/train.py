@@ -164,7 +164,7 @@ def evaluate(model: Detector, samples: Sequence[Sample],
     probs = np.empty(len(frontend), dtype=np.float64)
     with T.no_grad():
         for start in range(0, len(frontend), batch_size):
-            idx = np.arange(start, min(start + batch_size, len(frontend)))
-            _, p = model.forward(frontend.subset(idx), mode="infer")
-            probs[idx] = p.data.astype(np.float64)
+            rows = slice(start, start + batch_size)  # views, not copies, of the frontend
+            _, p = model.forward(frontend.subset(rows), mode="infer")
+            probs[rows] = p.data
     return probs, frontend.labels

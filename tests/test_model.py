@@ -10,6 +10,7 @@ from sfcl.fusion import HcmaConfig
 from sfcl.local_branch import Sbcm, SbcmConfig
 from sfcl.model import (Detector, DetectorConfig, desk_detector_config,
                         extract_frontend)
+from sfcl.train import evaluate
 
 
 def _batch(rng, n=2, size=16, dtype=np.float64):
@@ -66,6 +67,34 @@ class TestForward:
             assert a.flags.c_contiguous and a.dtype == np.float32
             assert np.array_equal(a, b)
         assert np.array_equal(got.pixels, np.stack([(p / 255.0).astype(np.float32) for p in planes]))
+
+
+class TestEvaluate:
+    def test_batches_are_views_of_the_frontend(self, rng, monkeypatch):
+        model = Detector(tiny_detector_config(3))
+        frontend = _batch(rng, n=5)
+        fed = []
+        forward = Detector.forward
+
+        def spy(self, batch, mode="infer"):
+            fed.append(batch)
+            return forward(self, batch, mode)
+
+        monkeypatch.setattr(Detector, "forward", spy)
+        probs, labels = evaluate(model, (), frontend=frontend, batch_size=2)
+        monkeypatch.undo()
+        assert [len(b) for b in fed] == [2, 2, 1]
+        for batch in fed:
+            for name in ("pixels", "spectra", "descriptors"):
+                part = getattr(batch, name)
+                assert np.shares_memory(part, getattr(frontend, name))
+                assert part.flags.c_contiguous  # Detector.forward copies nothing
+        # the index-array path, which copies each batch
+        want = np.concatenate([
+            model.forward(frontend.subset(np.arange(s, min(s + 2, 5))), mode="infer")[1].data
+            for s in range(0, 5, 2)])
+        assert probs.dtype == np.float64 and np.array_equal(probs, want)
+        assert np.array_equal(labels, frontend.labels)
 
 
 class TestConfigValidation:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sfcl.errors import ConfigError, ShapeError
-from sfcl.fusion import Classifier, Faae, FaaeConfig, Hcma, HcmaConfig
+from sfcl import tensor as T
+from sfcl.fusion import Classifier, Faae, FaaeConfig, Hcma, HcmaConfig, _tokens, _untokens
 from sfcl.layers import global_avg_pool
 from sfcl.spatial import BackboneConfig, SpatialBackbone
 from sfcl.tensor import Tensor
@@ -103,6 +104,19 @@ class TestFaae:
         want = x_s.data + bn
         got = faae.forward(x_f, x_s, mode="infer").data
         assert np.abs(got - want).max() < 1e-10
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_applies_the_diagnostic_map(self, rng, dtype):
+        faae = _faae(rng, dtype, zero_init_out=False)
+        x_s = Tensor(rng.standard_normal((3, 64, 4, 4)).astype(dtype))
+        x_f = Tensor(rng.standard_normal((3, 192, 4, 4)).astype(dtype))
+        alpha = faae.attention(x_f, x_s)
+        # forward's context path, with the map applied by matmul
+        n, cs, h, w = x_s.shape
+        values = T.matmul(_tokens(x_f), faae.v_f.w)
+        context = T.matmul(T.mul(T.matmul(alpha, values), T.sigmoid(faae.gamma_s)), faae.out.w)
+        want = T.add(x_s, faae.bn.forward(_untokens(context, h, w), "infer")).data
+        assert np.array_equal(faae.forward(x_f, x_s, mode="infer").data, want)
 
     def test_zero_init_start_is_exact_identity(self, rng):
         faae = _faae(rng)  # zero_init_out=True by default

@@ -2,6 +2,7 @@
 finite differences, tape discipline, and the error contract."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +237,100 @@ class TestSoftmax:
         with pytest.raises(NumericError):
             T.softmax_rows(Tensor([[np.nan, 0.0]]))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_out_of_place_expression(self, rng, dtype):
+        x = (rng.standard_normal((3, 17, 29)) * 5).astype(dtype)
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        assert np.array_equal(T.softmax_rows(Tensor(x)).data, e / e.sum(axis=-1, keepdims=True))
+
+
+def _attention_chain(q, k, v, scale):
+    """The unfused op chain ``attention`` replaces."""
+    return T.matmul(T.softmax_rows(T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), scale)), v)
+
+
+def _attention_run(op, arrays, proj):
+    """Forward of ``op`` on fresh leaves, then the leaves' gradients of sum(out * proj)."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = op(*leaves, 0.37)
+    T.backward(T.reduce_sum(T.mul(out, Tensor(proj))))
+    return out.data, [t.grad for t in leaves]
+
+
+class TestAttention:
+    # q [B,M,d], k [B,L,d], v [B,L,dv] as FAAE (desk model at 64 and 136 px)
+    # and HCMA use them
+    SHAPES = {"faae": ((2, 64, 64), (2, 64, 64), (2, 64, 32)),
+              "faae136": ((1, 289, 64), (1, 289, 64), (1, 289, 32)),
+              "hcma": ((16, 8, 4), (16, 8, 4), (16, 8, 4))}
+    # score chunk sizes: the default and chunks of several or one whole
+    # sample, then chunks of rows of one sample (the default at 136 px)
+    WHOLE = {"faae": (1 << 16, 8192, 4096), "faae136": (1 << 17,), "hcma": (1 << 16, 128, 64)}
+    ROWS = {"faae": (2048, 1024, 640), "faae136": (1 << 16,), "hcma": (48, 16)}
+    # row chunks: BLAS may round some rows' product apart from the whole
+    # product's; measured at most 9.4e-7 (float32) and 4.8e-15 (float64) of
+    # max |out| over 56 maps of 289 to 4096 tokens at the default chunk sizes
+    ROW_TOL = {np.float32: 2e-6, np.float64: 1e-14}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", ["faae", "faae136", "hcma"])
+    def test_against_unfused_chain(self, rng, monkeypatch, name, dtype):
+        arrays = [rng.standard_normal(s).astype(dtype) for s in self.SHAPES[name]]
+        proj = rng.standard_normal(self.SHAPES[name][0][:2] + self.SHAPES[name][2][2:]).astype(dtype)
+        want, want_grads = _attention_run(_attention_chain, arrays, proj)
+        for chunk in self.WHOLE[name] + self.ROWS[name]:
+            monkeypatch.setattr(T, "_ATTN_CHUNK", chunk)
+            monkeypatch.setattr(T, "_ATTN_ROWS", 1)
+            got, grads = _attention_run(T.attention, arrays, proj)
+            assert got.dtype == dtype, chunk
+            if chunk in self.WHOLE[name]:
+                assert np.array_equal(got, want), chunk
+            else:
+                assert np.abs(got - want).max() <= self.ROW_TOL[dtype] * np.abs(want).max(), chunk
+            for g, w in zip(grads, want_grads):  # backward recomputes whole samples
+                assert np.array_equal(g, w), chunk
+                assert g.strides == w.strides, chunk  # dk keeps the transposed layout
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 20, 4])
+    def test_gradients_vs_finite_differences(self, rng, monkeypatch, chunk):
+        monkeypatch.setattr(T, "_ATTN_CHUNK", chunk)
+        monkeypatch.setattr(T, "_ATTN_ROWS", 2)
+        q, k, v = (rng.standard_normal(s) for s in ((2, 5, 3), (2, 4, 3), (2, 4, 2)))
+        for i in range(3):
+            def f(x, i=i):
+                args = [Tensor(q), Tensor(k), Tensor(v)]
+                args[i] = x
+                return T.attention(*args, 0.8)
+            assert T.grad_check(f, Tensor((q, k, v)[i]), h=1e-5) < 1e-4, i
+
+    def test_nan_in_queries_rejected(self, rng):
+        q = rng.standard_normal((2, 4, 3))
+        q[1, 2, 0] = np.nan
+        k, v = rng.standard_normal((2, 5, 3)), rng.standard_normal((2, 5, 2))
+        with pytest.raises(NumericError):
+            T.attention(Tensor(q), Tensor(k), Tensor(v), 1.0)
+
+    def test_shapes_checked(self, rng):
+        q, k, v = rng.standard_normal((2, 4, 3)), rng.standard_normal((2, 5, 3)), rng.standard_normal((2, 5, 2))
+        for bad in ((q, k, v[:, :4]), (q, k[..., :2], v), (q[:1], k, v), (q[0], k[0], v[0]),
+                    (q[:, :0], k, v)):
+            with pytest.raises(ShapeError, match="attention"):
+                T.attention(*(Tensor(a) for a in bad), 1.0)
+        with pytest.raises(UsageError):
+            T.attention(Tensor(q.astype(np.float32)), Tensor(k), Tensor(v), 1.0)
+
+    def test_forward_never_holds_the_score_map(self, rng):
+        q, k, v = (rng.standard_normal((1, 4096, 16)).astype(np.float32) for _ in range(3))
+        map_bytes = 4096 * 4096 * 4
+        tracemalloc.start()
+        try:
+            out = T.attention(Tensor(q), Tensor(k), Tensor(v), 0.25)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 4096, 16)
+        assert peak <= map_bytes / 8, peak
+
 
 class TestElementwise:
     def test_sigmoid_at_zero(self):
@@ -379,6 +474,25 @@ class TestBatchnorm:
         for clean, poisoned in zip(run(0.0, 1.0), run(np.nan, np.nan)):
             assert clean.dtype == dtype
             assert np.array_equal(clean, poisoned)
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_bit_equal_to_out_of_place_expression(self, rng, mode, dtype):
+        x = (rng.standard_normal((6, 4, 5, 7)) * 3 + 1).astype(dtype)
+        gamma, beta, rm = (rng.standard_normal(4).astype(dtype) for _ in range(3))
+        rv = rng.uniform(0.5, 2.0, 4).astype(dtype)
+        got = T.batchnorm(Tensor(x), Tensor(gamma), Tensor(beta), rm.copy(), rv.copy(),
+                          mode=mode).data
+        # the expression before xhat and the output were formed in place
+        axes, bshape = (0, 2, 3), (1, 4, 1, 1)
+        if mode == "train":
+            centered = x - x.mean(axis=axes).reshape(bshape)
+            var = np.square(centered).sum(axis=axes) / (x.size // 4)
+        else:
+            centered, var = x - rm.reshape(bshape), rv
+        xhat = centered * (1.0 / np.sqrt(var + 1e-5)).reshape(bshape)
+        want = gamma.reshape(bshape) * xhat + beta.reshape(bshape)
+        assert got.dtype == dtype and np.array_equal(got, want)
 
     @staticmethod
     def _backward_by_chain_rule(x, gamma, g, eps=1e-5):
@@ -537,6 +651,7 @@ def _op_cases(rng):
         "concat": (lambda x: T.concat([x, T.mul(x, 2.0)], axis=0), (2, 3)),
         "linear": (lambda x: T.linear(x, Tensor(wm), Tensor(bias)), (3, 4)),
         "bce": (lambda x: T.bce_with_logits(x, np.array([1.0, 0.0, 1.0])), (3,)),
+        "attention": (lambda x: T.attention(x, T.mul(x, 0.5), x, 0.7), (2, 3, 4)),
     }
 
 
