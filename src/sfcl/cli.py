@@ -215,6 +215,10 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     run = load_run_config(args.config)
     samples = _load_samples(args.data)
+    classes = sorted({s.label for s in samples})
+    if len(classes) < 2:  # AUC is undefined; fail before any frontend or inference work
+        raise InputError(f"{args.data}: eval needs real (0) and fake (1) samples, "
+                         f"found labels {classes}")
     model = _detector_from_args(args, run)
     model.load_state_arrays(load_model(args.model))
     probs, labels = evaluate(model, samples)

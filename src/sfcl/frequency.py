@@ -29,6 +29,8 @@ CHANNEL_NAMES = ("Y", "Cb", "Cr")
 # Evaluated in difference form so the achromatic axis (R=G=B) maps exactly
 # to (v, 128, 128); constant gray then yields exactly-zero block spectra.
 
+_STRIP_BYTES = 1 << 17  # per strip buffer of the colour conversion
+
 
 @dataclass
 class BoundingBox:
@@ -127,18 +129,39 @@ _ZIGZAG_FLAT = np.array([r * BLOCK + c for r, c in ZIGZAG_ORDER])
 _DCT_ZIGZAG = np.kron(_DCT, _DCT)[_ZIGZAG_FLAT]
 
 
+def _ycbcr_rows(rgb: np.ndarray, out: np.ndarray, rg: np.ndarray, bg: np.ndarray) -> None:
+    """Full-range BT.601 of RGB rows [3, rows, W] into `out`, clamped to [0, 255].
+
+    `rg` and `bg` are [rows, W] buffers, and out[1] and out[2] hold products
+    until their own channel is formed. Each value gets the same operations in
+    the same order whatever rows come with it, so a conversion split into
+    strips equals one done whole.
+    """
+    r, g, b = rgb
+    y, cb, cr = out
+    np.subtract(r, g, out=rg)
+    np.subtract(b, g, out=bg)
+    np.multiply(rg, 0.299, out=y)  # Y = g + 0.299 rg + 0.114 bg
+    y += g
+    np.multiply(bg, 0.114, out=cb)
+    y += cb
+    np.multiply(bg, 0.5, out=cb)  # Cb = 128 + 0.5 bg - 0.168736 rg
+    cb += 128.0
+    np.multiply(rg, 0.168736, out=cr)
+    cb -= cr
+    rg *= 0.5  # Cr = 128 + 0.5 rg - 0.081312 bg
+    np.add(rg, 128.0, out=cr)
+    bg *= 0.081312
+    cr -= bg
+    np.clip(out, 0.0, 255.0, out=out)
+
+
 def rgb_to_ycbcr(img: PlanarImage) -> PlanarImage:
     """Full-range BT.601 conversion; outputs clamped to [0, 255]."""
     if img.color_space != "rgb":
         raise UsageError(f"rgb_to_ycbcr expects an RGB image, got {img.color_space!r}")
-    r, g, b = img.pixels
-    rg = r - g
-    bg = b - g
-    y = g + 0.299 * rg + 0.114 * bg
-    cb = 128.0 + 0.5 * bg - 0.168736 * rg
-    cr = 128.0 + 0.5 * rg - 0.081312 * bg
-    out = np.stack([y, cb, cr])
-    np.clip(out, 0.0, 255.0, out=out)
+    out = np.empty((3, img.height, img.width))
+    _ycbcr_rows(img.pixels, out, *np.empty((2, img.height, img.width)))
     return PlanarImage(out, "ycbcr")
 
 
@@ -174,17 +197,39 @@ def restructure(img: PlanarImage, bbox: Optional[BoundingBox] = None) -> BlockSp
     """RGB image -> grid crop -> YCbCr -> block DCT -> zigzag bands.
 
     The output layout is [channel, band, block row, block col]. DCT and
-    zigzag ordering are one 64x64 matmul per channel.
+    zigzag ordering are one 64x64 matmul per channel over all its blocks;
+    splitting that product would change its bits. An RGB crop is converted
+    in strips of whole block rows that go straight into the block layout,
+    so no full-size YCbCr plane is built.
     """
     region = crop_to_grid(img, bbox)
-    if region.color_space == "rgb":
-        region = rgb_to_ycbcr(region)
-    br, bc = region.height // BLOCK, region.width // BLOCK
+    h, w = region.height, region.width
+    br, bc = h // BLOCK, w // BLOCK
     out = np.empty((3, BANDS, br, bc))
-    blocks = np.empty((br, bc, BLOCK, BLOCK))
+    # Level-shifted blocks of channels 0, 1, 2 wait in out[1], out[2] and
+    # `spare`: each channel's product, taken in order, reads a slot no earlier
+    # product wrote and writes one whose blocks were already read.
+    spare = np.empty((br, bc, BLOCK, BLOCK))
+    slots = (out[1].reshape(spare.shape), out[2].reshape(spare.shape), spare)
+    px = region.pixels
+    rgb = region.color_space == "rgb"
+    if rgb and px.strides[2] != px.itemsize:
+        px = np.ascontiguousarray(px)  # row strips of another layout read with a stride
+    step = BLOCK * max(1, _STRIP_BYTES // (BLOCK * w * 8))  # whole block rows
+    if rgb:
+        buf = np.empty((5, min(step, h), w))  # YCbCr rows, rg, bg
+    for lo in range(0, h, step):
+        rows = slice(lo, lo + step)
+        ycc = px[:, rows]
+        if rgb:
+            n = min(step, h - lo)
+            ycc = buf[:3, :n]
+            _ycbcr_rows(px[:, rows], ycc, buf[3, :n], buf[4, :n])
+        for ch in range(3):
+            np.subtract(_plane_to_blocks(ycc[ch]), 128.0,
+                        out=slots[ch][lo // BLOCK:(lo + step) // BLOCK])
     for ch in range(3):
-        np.subtract(_plane_to_blocks(region.pixels[ch]), 128.0, out=blocks)
-        np.matmul(_DCT_ZIGZAG, blocks.reshape(br * bc, BANDS).T,
+        np.matmul(_DCT_ZIGZAG, slots[ch].reshape(br * bc, BANDS).T,
                   out=out[ch].reshape(BANDS, br * bc))
     return BlockSpectra(out)
 

@@ -159,7 +159,11 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 def descriptor_csv_rows(entries: Iterable[Tuple[str, Optional[int], np.ndarray]],
                         with_labels: bool):
-    """Header and rows for a descriptor table: file[,label],d0..d2303."""
+    """Header and rows for a descriptor table: file[,label],d0..d2303.
+
+    A row's descriptor values come as one cell, already joined in
+    :func:`format_cell`'s text.
+    """
     width = None
     rows = []
     for name, label, values in entries:
@@ -168,7 +172,7 @@ def descriptor_csv_rows(entries: Iterable[Tuple[str, Optional[int], np.ndarray]]
         row: list = [name]
         if with_labels:
             row.append(int(label))
-        row.extend(values.tolist())
+        row.append(",".join(map(repr, values.tolist())))
         rows.append(row)
     width = width or 0
     header = ["file"] + (["label"] if with_labels else []) + [f"d{i}" for i in range(width)]

@@ -58,22 +58,26 @@ class SidaDescriptor:
         return ((STATS.index(stat) * len(MODES) + MODES.index(mode)) * 3 + channel) * BANDS + band
 
 
+def _require_grid(spectra: BlockSpectra, mode: str) -> None:
+    if mode not in MODES:
+        raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "row" and spectra.block_rows < 2:
+        raise InputError(f"row differentials need at least 2 block rows, got {spectra.block_rows}")
+    if mode == "col" and spectra.block_cols < 2:
+        raise InputError(f"col differentials need at least 2 block cols, got {spectra.block_cols}")
+
+
 def block_differential(spectra: BlockSpectra, mode: str) -> DifferentialMap:
     """Adjacent differences along the axis selected by `mode`.
 
     The intra mode differences along the band axis (63 results) and zero-pads
     back to 64 bands so all modes share the band layout.
     """
-    if mode not in MODES:
-        raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
+    _require_grid(spectra, mode)
     x = spectra.coefficients
     if mode == "row":
-        if spectra.block_rows < 2:
-            raise InputError(f"row differentials need at least 2 block rows, got {spectra.block_rows}")
         return DifferentialMap("row", x[:, :, 1:, :] - x[:, :, :-1, :])
     if mode == "col":
-        if spectra.block_cols < 2:
-            raise InputError(f"col differentials need at least 2 block cols, got {spectra.block_cols}")
         return DifferentialMap("col", x[:, :, :, 1:] - x[:, :, :, :-1])
     out = np.empty_like(x)
     np.subtract(x[:, 1:], x[:, :-1], out=out[:, :-1])
@@ -81,26 +85,26 @@ def block_differential(spectra: BlockSpectra, mode: str) -> DifferentialMap:
     return DifferentialMap("intra", out)
 
 
-def moment_stats(dmap: DifferentialMap) -> Dict[str, np.ndarray]:
-    """Population mean/std/skew/kurt of |values| over the spatial block dims.
+def _abs_moments(c: int, b: int, length: int, fill) -> Dict[str, np.ndarray]:
+    """Moments of |values| over `c * b` rows of `length` values each.
 
-    Returns one [C, bands] array per statistic. Skewness is m3/std^3 and
-    kurtosis m4/std^4 (not excess); both are defined as 0 wherever std falls
-    below 1e-12, so constant regions stay NaN-free.
+    ``fill(lo, hi, a)`` writes the absolute values of rows lo..hi-1 into the
+    C-ordered work buffer ``a`` of shape [hi - lo, length]. Powers are formed
+    by multiplication, not float pow, on a few rows at a time so both work
+    buffers stay in cache; every row is reduced over its own contiguous
+    values, so no result depends on the chunking.
     """
-    c, b = dmap.values.shape[:2]
-    rows = dmap.values.reshape(c * b, -1)
     mean, m2, m3, m4 = moments = np.empty((4, c * b))
-    # Powers by multiplication, not float pow, on a few (channel, band) rows at
-    # a time so both work buffers stay in cache. np.abs copies, so dmap.values
-    # is never written; no row's result depends on the chunking.
-    step = max(1, _CHUNK_BYTES // max(1, rows[0].nbytes))
+    step = max(1, _CHUNK_BYTES // max(1, length * 8))
+    work, sq = np.empty((2, min(step, c * b), length))
     for lo in range(0, c * b, step):
-        part = slice(lo, lo + step)
-        a = np.abs(rows[part])
+        hi = min(lo + step, c * b)
+        part = slice(lo, hi)
+        a, c2 = work[:hi - lo], sq[:hi - lo]
+        fill(lo, hi, a)
         mean[part] = a.mean(axis=1)
         a -= mean[part, None]
-        c2 = a * a
+        np.multiply(a, a, out=c2)
         m2[part] = c2.mean(axis=1)
         a *= c2
         m3[part] = a.mean(axis=1)
@@ -116,6 +120,48 @@ def moment_stats(dmap: DifferentialMap) -> Dict[str, np.ndarray]:
     return {"mean": mean, "std": std, "skew": skew, "kurt": kurt}
 
 
+def moment_stats(dmap: DifferentialMap) -> Dict[str, np.ndarray]:
+    """Population mean/std/skew/kurt of |values| over the spatial block dims.
+
+    Returns one [C, bands] array per statistic. Skewness is m3/std^3 and
+    kurtosis m4/std^4 (not excess); both are defined as 0 wherever std falls
+    below 1e-12, so constant regions stay NaN-free. dmap.values is never
+    written.
+    """
+    c, b = dmap.values.shape[:2]
+    rows = dmap.values.reshape(c * b, -1)
+    return _abs_moments(c, b, rows.shape[1],
+                        lambda lo, hi, a: np.abs(rows[lo:hi], out=a))
+
+
+def _differential_moments(spectra: BlockSpectra, mode: str) -> Dict[str, np.ndarray]:
+    """moment_stats(block_differential(spectra, mode)) without the full map:
+    each chunk's differences are formed straight in the work buffer."""
+    _require_grid(spectra, mode)
+    x = spectra.coefficients
+    c, b = x.shape[:2]
+    if mode == "intra":
+        flat = x.reshape(c * b, -1)
+
+        def fill(lo, hi, a):
+            # Row r is row r+1 minus row r; a channel's last band, where that
+            # difference crosses into the next channel, is zero.
+            n = min(hi, c * b - 1) - lo
+            np.subtract(flat[lo + 1:lo + 1 + n], flat[lo:lo + n], out=a[:n])
+            a[b - 1 - lo % b::b] = 0.0
+            np.abs(a, out=a)
+        return _abs_moments(c, b, flat.shape[1], fill)
+
+    ahead, behind = (x[:, :, 1:], x[:, :, :-1]) if mode == "row" else (x[..., 1:], x[..., :-1])
+    shape = ahead.shape[2:]
+    ahead, behind = ahead.reshape(c * b, *shape), behind.reshape(c * b, *shape)
+
+    def fill(lo, hi, a):
+        np.subtract(ahead[lo:hi], behind[lo:hi], out=a.reshape(hi - lo, *shape))
+        np.abs(a, out=a)
+    return _abs_moments(c, b, shape[0] * shape[1], fill)
+
+
 def assemble_descriptor(stats_by_mode: Dict[str, Dict[str, np.ndarray]]) -> SidaDescriptor:
     """Stack per-mode statistics into the canonical 2304-long layout."""
     for mode in MODES:
@@ -129,9 +175,12 @@ def assemble_descriptor(stats_by_mode: Dict[str, Dict[str, np.ndarray]]) -> Sida
 
 
 def sida_descriptor(spectra: BlockSpectra) -> SidaDescriptor:
-    """Descriptor straight from block spectra (grid must be at least 2x2)."""
-    stats = {mode: moment_stats(block_differential(spectra, mode)) for mode in MODES}
-    return assemble_descriptor(stats)
+    """Descriptor straight from block spectra (grid must be at least 2x2).
+
+    Equal bit for bit to assembling ``moment_stats(block_differential(...))``
+    over the modes, but no full-size difference map is built.
+    """
+    return assemble_descriptor({mode: _differential_moments(spectra, mode) for mode in MODES})
 
 
 def sida_from_image(img: PlanarImage, bbox: Optional[BoundingBox] = None) -> SidaDescriptor:

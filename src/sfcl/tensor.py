@@ -591,11 +591,15 @@ def conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
         # Channels-last accumulator: each tap adds rows of C contiguous values.
         # dx is handed on C-ordered: reductions downstream sum in memory
         # order, so a transposed view would change their bits.
+        # One [C_out, N*H*W] copy of g serves every tap. einsum on it makes the
+        # BLAS call einsum on g made, so dx keeps its bits; a matmul over an
+        # [N*H*W, C_out] copy rounds differently on some shapes (tested).
+        g_cols = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(co, -1)
         dxp = np.zeros((n, hp, wp, ci), dtype=xd.dtype)
         for i in range(kh):
             for j in range(kw):
                 dxp[:, i:i + sh * ho:sh, j:j + sw * wo:sw] += np.einsum(
-                    "nopq,oc->npqc", g, w.data[:, :, i, j], optimize=True)
+                    "om,oc->mc", g_cols, w.data[:, :, i, j], optimize=True).reshape(n, ho, wo, ci)
         return np.ascontiguousarray(dxp[:, ph:ph + h, pw:pw + wd_].transpose(0, 3, 1, 2)), dw
 
     return _node(out, "conv2d", (x, w), bw)

@@ -1,5 +1,7 @@
 """Frequency front end: color conversion, grid cropping, block DCT, zigzag."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,11 @@ def _solid(r, g, b, h=8, w=8):
     px = np.empty((3, h, w))
     px[0], px[1], px[2] = r, g, b
     return PlanarImage(px, "rgb")
+
+
+def _transposed(px):
+    """The same values with each plane stored column-major."""
+    return px.transpose(0, 2, 1).copy().transpose(0, 2, 1)
 
 
 class TestColorConversion:
@@ -38,6 +45,16 @@ class TestColorConversion:
         want = (matrix @ px.reshape(3, -1) + np.array([0.0, 128.0, 128.0])[:, None])
         got = fq.rgb_to_ycbcr(PlanarImage(px, "rgb")).pixels.reshape(3, -1)
         assert np.abs(got - np.clip(want, 0, 255)).max() < 1e-10
+
+    def test_equals_whole_plane_formula_bit_for_bit(self, rng):
+        px = np.round(rng.uniform(0, 255, (3, 43, 29)))
+        r, g, b = px
+        rg, bg = r - g, b - g
+        want = np.clip(np.stack([g + 0.299 * rg + 0.114 * bg,
+                                 128.0 + 0.5 * bg - 0.168736 * rg,
+                                 128.0 + 0.5 * rg - 0.081312 * bg]), 0.0, 255.0)
+        for planes in (px, _transposed(px)):
+            assert np.array_equal(fq.rgb_to_ycbcr(PlanarImage(planes, "rgb")).pixels, want)
 
     def test_gray_axis_is_exact(self):
         out = fq.rgb_to_ycbcr(_solid(77, 77, 77)).pixels
@@ -175,3 +192,50 @@ class TestRestructure:
         ycc = fq.reconstruct(spectra).pixels
         want = fq.rgb_to_ycbcr(img).pixels
         assert np.abs(ycc - want).max() < 1e-8
+
+
+def _ycbcr_then_whole_channel_matmul(img, bbox=None):
+    """rgb_to_ycbcr of the crop, then one DCT+zigzag matmul per channel."""
+    ycc = fq.crop_to_grid(img, bbox)
+    if ycc.color_space == "rgb":
+        ycc = fq.rgb_to_ycbcr(ycc)
+    br, bc = ycc.height // 8, ycc.width // 8
+    out = np.empty((3, 64, br, bc))
+    for ch in range(3):
+        blocks = np.ascontiguousarray(ycc.pixels[ch].reshape(br, 8, bc, 8).transpose(0, 2, 1, 3)) - 128.0
+        out[ch] = (fq._DCT_ZIGZAG @ blocks.reshape(br * bc, 64).T).reshape(64, br, bc)
+    return out
+
+
+class TestStreamedRestructure:
+    CASES = {  # (planes, bbox, column-major planes, colour space)
+        "c_order": ((3, 64, 80), None, False, "rgb"),
+        "transposed": ((3, 64, 80), None, True, "rgb"),
+        "bbox": ((3, 64, 80), BoundingBox(13, 5, 56, 40), False, "rgb"),
+        "bbox_transposed": ((3, 64, 80), BoundingBox(13, 5, 56, 40), True, "rgb"),
+        "grid_17x13": ((3, 17 * 8 + 5, 13 * 8 + 3), None, False, "rgb"),
+        "grid_2x2": ((3, 16, 16), None, False, "rgb"),
+        "ycbcr_input": ((3, 64, 80), None, False, "ycbcr"),
+    }
+
+    @pytest.mark.parametrize("strip_bytes", [None, 1, 3 * 8 * 8 * 104])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bit_equal_to_ycbcr_and_whole_channel_matmul(self, rng, monkeypatch, case, strip_bytes):
+        if strip_bytes is not None:  # strips of 1 block row, or 3 with a partial last strip
+            monkeypatch.setattr(fq, "_STRIP_BYTES", strip_bytes)
+        shape, bbox, transposed, space = self.CASES[case]
+        px = np.round(rng.uniform(0, 255, shape))
+        img = PlanarImage(_transposed(px) if transposed else px, space)
+        got = fq.restructure(img, bbox).coefficients
+        assert np.array_equal(got, _ycbcr_then_whole_channel_matmul(img, bbox))
+        assert np.array_equal(got, fq.restructure(PlanarImage(px, space), bbox).coefficients)
+
+    def test_peak_memory_bound(self, rng):
+        img = PlanarImage(rng.uniform(0, 255, (3, 512, 512)), "rgb")
+        tracemalloc.start()
+        try:
+            spectra = fq.restructure(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * spectra.coefficients.nbytes

@@ -11,8 +11,8 @@ import pytest
 from sfcl import cli
 from sfcl.errors import FormatError, InputError, UsageError
 from sfcl.frequency import PlanarImage
-from sfcl.io import (load_bbox_manifest, load_dataset_manifest, read_ppm,
-                     write_csv, write_ppm)
+from sfcl.io import (descriptor_csv_rows, format_cell, load_bbox_manifest,
+                     load_dataset_manifest, read_ppm, write_csv, write_ppm)
 from sfcl.modelfile import load_model, save_model
 from sfcl.runconfig import load_run_config, run_config_from_dict
 from sfcl.sida import MODES, SidaDescriptor, sida_from_image
@@ -435,6 +435,39 @@ class TestCli:
         assert len(lines) == 1
         err = json.loads(lines[0])
         assert err["type"] == "InputError" and "at least 1" in err["message"]
+
+    def test_descriptor_csv_matches_per_cell_formatting(self, tmp_path):
+        values = np.array([-0.0, 1e-300, 1e16, 0.1, 5e-324, 1.0, -2.5, 1 / 3, 123456789.0])
+        entries = [("a.ppm", 1, values), ("b.ppm", 0, -values[::-1])]
+        path = tmp_path / "d.csv"
+        write_csv(path, *descriptor_csv_rows(entries, True))
+        want = "file,label," + ",".join(f"d{i}" for i in range(len(values))) + "\n"
+        for name, label, row in entries:
+            want += ",".join([name, str(label)] + [format_cell(v) for v in row]) + "\n"
+        assert path.read_bytes() == want.encode()
+        assert "-0.0,1e-300,1e+16,0.1," in want
+
+    def test_eval_single_label_is_input_error_before_inference(self, tmp_path, capsys, monkeypatch):
+        cfg = _tiny_config(tmp_path)
+        data = str(tmp_path / "data")
+        assert cli.main(["dataset-synth", "--out", data, "--config", cfg]) == 0
+        manifest = os.path.join(data, "manifest.json")
+        with open(manifest) as fh:
+            real = [r for r in json.load(fh) if r["label"] == 0]
+        with open(manifest, "w") as fh:
+            json.dump(real, fh)
+
+        def no_inference(*args, **kwargs):
+            raise AssertionError("eval ran inference on a single-label dataset")
+        monkeypatch.setattr(cli, "evaluate", no_inference)
+        capsys.readouterr()
+        code = cli.main(["eval", "--config", cfg, "--data", data,
+                         "--model", str(tmp_path / "absent.sfcl")])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["type"] == "InputError" and "found labels [0]" in err["message"]
 
     def test_csv_is_locale_independent(self, tmp_path):
         path = tmp_path / "x.csv"

@@ -179,6 +179,43 @@ class TestSidaFromImage:
             tracemalloc.stop()
         assert peak <= 3.25 * spectra.coefficients.nbytes
 
+    def test_streamed_peak_memory_bound(self, rng):
+        from sfcl.frequency import restructure
+        spectra = restructure(PlanarImage(rng.uniform(0, 255, (3, 512, 512)), "rgb"))
+        tracemalloc.start()
+        try:
+            sida_descriptor(spectra)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * spectra.coefficients.nbytes
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 8, 5 * 8 * 8 * 104])
+    @pytest.mark.parametrize("shape,bbox,transposed", [
+        ((3, 64, 80), None, False),
+        ((3, 64, 80), None, True),
+        ((3, 64, 80), (13, 5, 56, 40), False),
+        ((3, 17 * 8 + 5, 13 * 8 + 3), None, False),
+        ((3, 16, 16), None, False),
+    ])
+    def test_equals_moments_of_full_maps(self, rng, monkeypatch, shape, bbox, transposed, chunk_bytes):
+        from sfcl.frequency import BoundingBox, restructure
+        if chunk_bytes is not None:  # one row a chunk, or tens that do not divide 64 bands
+            monkeypatch.setattr(sida, "_CHUNK_BYTES", chunk_bytes)
+        px = np.round(rng.uniform(0, 255, shape))
+        if transposed:
+            px = px.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+        spectra = restructure(PlanarImage(px, "rgb"), bbox and BoundingBox(*bbox))
+        want = assemble_descriptor(
+            {mode: moment_stats(block_differential(spectra, mode)) for mode in sida.MODES})
+        assert np.array_equal(sida_descriptor(spectra).values, want.values)
+
+    def test_small_grid_errors_name_the_mode(self):
+        with pytest.raises(InputError, match="row"):
+            sida_descriptor(BlockSpectra(np.zeros((3, 64, 1, 4))))
+        with pytest.raises(InputError, match="col"):
+            sida_descriptor(BlockSpectra(np.zeros((3, 64, 4, 1))))
+
     def test_region_too_small(self):
         img = PlanarImage(np.zeros((3, 8, 32)), "rgb")
         with pytest.raises(InputError):

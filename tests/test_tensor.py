@@ -176,6 +176,17 @@ class TestConvInputGradient:
         assert np.array_equal(x.grad, want)
 
 
+    def test_conv2d_dx_bit_equal_on_a_desk_stem_shape(self, rng):
+        # [20, 32, 8, 8] gradients into 24 channels: a shape on which a plain
+        # matmul over a [N*H*W, C_out] copy differs from the per-tap einsum.
+        x = Tensor(rng.standard_normal((20, 24, 16, 16)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((32, 24, 3, 3)).astype(np.float32), requires_grad=True)
+        out = T.conv2d(x, w, (2, 2), (1, 1))
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        T.backward(T.reduce_sum(T.mul(out, Tensor(g))))
+        assert np.array_equal(x.grad, _conv2d_dx_nchw_taps(g, w.data, x.shape, (2, 2), (1, 1)))
+
+
 def _weighted_ops(rng):
     """(op, x, weights): each op with an input and the weights it learns."""
     return {
