@@ -122,7 +122,7 @@ def check_backbone(seed: int = 0) -> float:
 def check_faae(seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     cfg = FaaeConfig(zero_init_out=False)
-    module = Faae(cfg, rng, np.float64)
+    module = Faae(cfg, 64, rng, np.float64)
     xf0 = rng.standard_normal((192, 2, 2))
     xs0 = rng.standard_normal((64, 2, 2))
     xf_mate = rng.standard_normal((1, 192, 2, 2))
@@ -145,8 +145,8 @@ def check_faae(seed: int = 0) -> float:
 
 def check_hcma(seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
-    cfg = HcmaConfig(spatial_dim=24, freq_dim=32, embed_dim=64, heads=4, tokens=4)
-    module = Hcma(cfg, rng, np.float64)
+    cfg = HcmaConfig(embed_dim=64, heads=4, tokens=4)
+    module = Hcma(cfg, 24, 32, rng, np.float64)
     s0 = rng.standard_normal(24)
     f0 = rng.standard_normal(32)
     s_mate = rng.standard_normal((1, 24))
@@ -204,8 +204,8 @@ def tiny_detector_config(seed: int = 0, **overrides) -> DetectorConfig:
         backbone=BackboneConfig(stem_widths=(3, 4, 6, 8), deep_widths=(8, 10), output_dim=24),
         sbcm=SbcmConfig(widths=(3, 6, 8, 64)),
         cnnf=CnnfConfig(widths=(192, 8, 8, 16), strides=(2, 2, 1)),
-        faae=FaaeConfig(spatial_channels=8, attn_dim=8, zero_init_out=False),
-        hcma=HcmaConfig(spatial_dim=24, freq_dim=16, embed_dim=32, heads=2, tokens=4),
+        faae=FaaeConfig(attn_dim=8, zero_init_out=False),
+        hcma=HcmaConfig(embed_dim=32, heads=2, tokens=4),
         precision="double",
         init_seed=seed,
     )

@@ -9,6 +9,7 @@ commands (default: machine parallelism).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import difflib
 import json
 import os
@@ -24,11 +25,11 @@ from .frequency import BANDS, BoundingBox, restructure
 from .io import (descriptor_csv_rows, load_bbox_manifest, load_dataset_manifest,
                  read_ppm, write_csv)
 from .metrics import metric_accuracy, metric_auc
-from .model import Detector
+from .model import FUSION_MODES, PRECISIONS, Detector, DetectorConfig
 from .modelfile import load_model, save_model
 from .runconfig import load_run_config
 from .sida import MODES, SidaDescriptor, sida_from_image
-from .synth import Sample, SynthConfig, synth_generate
+from .synth import RECIPES, Sample, synth_generate
 from .train import evaluate, train
 
 
@@ -123,7 +124,6 @@ def _emit(doc: dict) -> None:
 
 def _cmd_dataset_synth(args) -> int:
     run = load_run_config(args.config)
-    cfg = run.synth
     overrides = {}
     if args.count is not None:
         overrides["count"] = args.count
@@ -133,11 +133,7 @@ def _cmd_dataset_synth(args) -> int:
         overrides["seed"] = args.seed
     if args.recipe is not None:
         overrides["recipe"] = args.recipe
-    if overrides:
-        base = {f: getattr(cfg, f) for f in ("count", "height", "width", "seed",
-                                             "recipe", "grain", "smooth_passes")}
-        base.update(overrides)
-        cfg = SynthConfig(**base)
+    cfg = dataclasses.replace(run.synth, **overrides)
     samples = synth_generate(cfg, out_dir=args.out)
     _emit({"dir": args.out, "samples": len(samples),
            "real": sum(1 for s in samples if s.label == 0),
@@ -188,19 +184,18 @@ def _cmd_features_sida(args) -> int:
     return 0
 
 
-def _detector_from_args(args, run) -> Detector:
-    cfg = run.detector_config(use_sbcm=not args.no_sbcm,
-                             fusion_mode=args.fusion_mode,
-                             use_sida_gate=not args.no_sida_gate,
-                             precision=args.precision,
-                             init_seed=args.init_seed)
-    return Detector(cfg)
+def _detector_config(args, run) -> DetectorConfig:
+    """The config's detector with the model flags applied (flag dest = field name)."""
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(DetectorConfig)
+             if hasattr(args, f.name)}
+    return dataclasses.replace(run.detector, **flags)
 
 
 def _cmd_train(args) -> int:
     run = load_run_config(args.config)
+    cfg = _detector_config(args, run)
     samples = _load_samples(args.data)
-    model = _detector_from_args(args, run)
+    model = Detector(cfg)
     log = train(model, samples, run.train)
     save_model(args.out, model.state_arrays())
     if args.log:
@@ -213,13 +208,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    run = load_run_config(args.config)
+    cfg = _detector_config(args, load_run_config(args.config))
     samples = _load_samples(args.data)
     classes = sorted({s.label for s in samples})
     if len(classes) < 2:  # AUC is undefined; fail before any frontend or inference work
         raise InputError(f"{args.data}: eval needs real (0) and fake (1) samples, "
                          f"found labels {classes}")
-    model = _detector_from_args(args, run)
+    model = Detector(cfg)
     model.load_state_arrays(load_model(args.model))
     probs, labels = evaluate(model, samples)
     _emit({"samples": len(samples),
@@ -279,11 +274,14 @@ def _cmd_gradcheck(args) -> int:
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON run configuration")
-    p.add_argument("--no-sbcm", action="store_true", help="bypass the band-conv stack")
-    p.add_argument("--fusion-mode", choices=["hierarchical", "concat"], default="hierarchical")
-    p.add_argument("--no-sida-gate", action="store_true", help="disable the descriptor gate")
-    p.add_argument("--precision", choices=["single", "double"], default="single")
-    p.add_argument("--init-seed", type=int, default=0, help="parameter init seed")
+    p.add_argument("--no-sbcm", dest="use_sbcm", action="store_false",
+                   default=DetectorConfig.use_sbcm, help="bypass the band-conv stack")
+    p.add_argument("--fusion-mode", choices=FUSION_MODES, default=DetectorConfig.fusion_mode)
+    p.add_argument("--no-sida-gate", dest="use_sida_gate", action="store_false",
+                   default=DetectorConfig.use_sida_gate, help="disable the descriptor gate")
+    p.add_argument("--precision", choices=PRECISIONS, default=DetectorConfig.precision)
+    p.add_argument("--init-seed", type=int, default=DetectorConfig.init_seed,
+                   help="parameter init seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int)
     p.add_argument("--size", type=int, help="square image size in pixels")
     p.add_argument("--seed", type=int)
-    p.add_argument("--recipe", choices=["resample", "blend", "mixed"])
+    p.add_argument("--recipe", choices=RECIPES)
     p.set_defaults(fn=_cmd_dataset_synth)
 
     p = sub.add_parser("extract-spectra", help="write block spectra per image")

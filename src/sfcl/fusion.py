@@ -21,6 +21,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .layers import BatchNormLayer, Layer, LinearLayer
+from .local_branch import FREQ_CHANNELS
 from .sida import DESCRIPTOR_LENGTH
 from .tensor import Tensor
 
@@ -38,8 +39,7 @@ def _untokens(t: Tensor, h: int, w: int) -> Tensor:
 
 @dataclass
 class FaaeConfig:
-    freq_channels: int = 192
-    spatial_channels: int = 64
+    """Shallow fusion settings; its input widths are the branches' own."""
     attn_dim: int = 64          # per-modality projection width d_a
     zero_init_out: bool = True  # zero output projection => exact identity at start
 
@@ -51,9 +51,10 @@ class Faae(Layer):
     except the attention application itself.
     """
 
-    def __init__(self, cfg: FaaeConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, cfg: FaaeConfig, spatial_channels: int, rng: np.random.Generator,
+                 dtype=np.float32):
         self.cfg = cfg
-        ca, cf, cs = cfg.attn_dim, cfg.freq_channels, cfg.spatial_channels
+        ca, cf, cs = cfg.attn_dim, FREQ_CHANNELS, spatial_channels
         self.q_f = LinearLayer(cf, ca, rng, dtype, bias=False)
         self.q_s = LinearLayer(cs, ca, rng, dtype, bias=False)
         self.k_f = LinearLayer(cf, ca, rng, dtype, bias=False)
@@ -96,14 +97,12 @@ class Faae(Layer):
 
 @dataclass
 class HcmaConfig:
-    """Deep fusion geometry.
+    """Deep fusion geometry; the input vector lengths are the branches' own.
 
     The projected vectors are read as ``tokens`` x ``embed_dim/tokens`` token
     sequences; ``tokens=1`` is the documented degenerate mode in which the
     attention output equals the value tokens exactly.
     """
-    spatial_dim: int = 1792
-    freq_dim: int = 2048
     embed_dim: int = 1024
     heads: int = 8
     tokens: int = 16
@@ -125,11 +124,12 @@ class HcmaConfig:
 class Hcma(Layer):
     """Gated multi-head cross-modal fusion producing the fused embedding."""
 
-    def __init__(self, cfg: HcmaConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, cfg: HcmaConfig, spatial_dim: int, freq_dim: int,
+                 rng: np.random.Generator, dtype=np.float32):
         self.cfg = cfg
         de, dt = cfg.embed_dim, cfg.token_dim
-        self.proj_s = LinearLayer(cfg.spatial_dim, de, rng, dtype)
-        self.proj_f = LinearLayer(cfg.freq_dim, de, rng, dtype)
+        self.proj_s = LinearLayer(spatial_dim, de, rng, dtype)
+        self.proj_f = LinearLayer(freq_dim, de, rng, dtype)
         self.w_q = LinearLayer(dt, dt, rng, dtype, bias=False)
         self.w_k = LinearLayer(dt, dt, rng, dtype, bias=False)
         self.w_v = LinearLayer(dt, dt, rng, dtype, bias=False)

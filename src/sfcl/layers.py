@@ -103,7 +103,7 @@ class LinearLayer(Layer):
 
 
 class BatchNormLayer(Layer):
-    """Per-channel batch norm with running statistics (momentum 0.1, eps 1e-5)."""
+    """Per-channel batch norm with running statistics (``T.BN_MOMENTUM``, ``T.BN_EPS``)."""
 
     def __init__(self, channels: int, dtype=np.float32):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)

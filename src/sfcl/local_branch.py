@@ -21,6 +21,7 @@ from .layers import (BatchNormLayer, Conv3dDepthLayer, Layer, SeparableBlock,
 from .tensor import Tensor
 
 SBCM_INPUT_BANDS = 64
+FREQ_CHANNELS = 192  # SBCM output flattened: 64 channels x depth 3
 
 
 def _depth_chain(start: int, kernels: Sequence[int], strides: Sequence[int]) -> List[int]:
@@ -40,11 +41,12 @@ class SbcmConfig:
     kernels: tuple = (7, 5, 3)
     strides: tuple = (3, 2, 2)
     widths: tuple = (3, 16, 32, 64)
-    batchnorm: bool = True
 
     def __post_init__(self):
         if not (len(self.kernels) == len(self.strides) == len(self.widths) - 1):
             raise ConfigError("kernels, strides and widths-1 must have equal length")
+        if self.widths[0] != 3:
+            raise ConfigError(f"input width must be 3 (Y, Cb, Cr), got {self.widths[0]}")
         chain = _depth_chain(SBCM_INPUT_BANDS, self.kernels, self.strides)
         if chain[-1] != 3:
             raise ConfigError(
@@ -55,7 +57,7 @@ class SbcmConfig:
 
 @dataclass
 class CnnfConfig:
-    """Separable-conv stack on the 192-channel flattened spectral map.
+    """Separable-conv stack on the FREQ_CHANNELS-wide flattened spectral map.
 
     ``widths``/``strides`` describe the blocks; after global average pooling
     the output length equals the last width (2048 by default).
@@ -66,8 +68,8 @@ class CnnfConfig:
     def __post_init__(self):
         if len(self.widths) - 1 != len(self.strides):
             raise ConfigError("widths-1 and strides must have equal length")
-        if self.widths[0] != 192:
-            raise ConfigError(f"input channel width must be 192, got {self.widths[0]}")
+        if self.widths[0] != FREQ_CHANNELS:
+            raise ConfigError(f"input channel width must be {FREQ_CHANNELS}, got {self.widths[0]}")
 
     @property
     def output_dim(self) -> int:
@@ -82,17 +84,14 @@ class Sbcm(Layer):
         for i, (k, s) in enumerate(zip(cfg.kernels, cfg.strides)):
             setattr(self, f"conv{i}",
                     Conv3dDepthLayer(cfg.widths[i], cfg.widths[i + 1], k, s, rng, dtype))
-            setattr(self, f"bn{i}", BatchNormLayer(cfg.widths[i + 1], dtype) if cfg.batchnorm else None)
+            setattr(self, f"bn{i}", BatchNormLayer(cfg.widths[i + 1], dtype))
 
     def forward(self, x: Tensor, mode: str = "infer") -> Tensor:
         if x.shape[-3] != SBCM_INPUT_BANDS:
             raise ShapeError(f"band axis must be {SBCM_INPUT_BANDS}, got input shape {x.shape}")
         for i in range(len(self.cfg.kernels)):
             x = getattr(self, f"conv{i}").forward(x)
-            bn = getattr(self, f"bn{i}")
-            if bn is not None:
-                x = bn.forward(x, mode)
-            x = T.relu(x)
+            x = T.relu(getattr(self, f"bn{i}").forward(x, mode))
         return x
 
 
@@ -106,7 +105,7 @@ def flatten_bands(x: Tensor) -> Tensor:
         raise ShapeError(f"flatten_bands expects [...,64,3,Hb,Wb], got {x.shape}")
     lead = x.shape[:-4]
     hb, wb = x.shape[-2:]
-    return T.reshape(x, lead + (192, hb, wb))
+    return T.reshape(x, lead + (FREQ_CHANNELS, hb, wb))
 
 
 class CnnF(Layer):

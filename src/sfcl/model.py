@@ -22,16 +22,19 @@ from .errors import ConfigError, InputError, UsageError
 from .frequency import BoundingBox, PlanarImage, crop_to_grid, restructure
 from .fusion import Classifier, Faae, FaaeConfig, Hcma, HcmaConfig
 from .layers import Layer
-from .local_branch import CnnF, CnnfConfig, Sbcm, SbcmConfig, flatten_bands
+from .local_branch import (FREQ_CHANNELS, CnnF, CnnfConfig, Sbcm, SbcmConfig,
+                           flatten_bands)
 from .sida import DESCRIPTOR_LENGTH, sida_descriptor
 from .spatial import BackboneConfig, SpatialBackbone
 from .tensor import Tensor
 
 FUSION_MODES = ("hierarchical", "concat")
+PRECISIONS = ("single", "double")
 
 
 @dataclass
 class DetectorConfig:
+    """The detector's free settings; the fusion input widths follow the branches."""
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     sbcm: SbcmConfig = field(default_factory=SbcmConfig)
     cnnf: CnnfConfig = field(default_factory=CnnfConfig)
@@ -46,22 +49,8 @@ class DetectorConfig:
     def __post_init__(self):
         if self.fusion_mode not in FUSION_MODES:
             raise ConfigError(f"fusion_mode must be one of {FUSION_MODES}, got {self.fusion_mode!r}")
-        if self.precision not in ("single", "double"):
-            raise ConfigError(f"precision must be 'single' or 'double', got {self.precision!r}")
-        if self.faae.spatial_channels != self.backbone.shallow_channels:
-            raise ConfigError(
-                f"attention spatial width {self.faae.spatial_channels} must match "
-                f"backbone shallow width {self.backbone.shallow_channels}")
-        if self.faae.freq_channels != 192:
-            raise ConfigError("attention frequency width must be 192 (64 bands x depth 3)")
-        if self.hcma.spatial_dim != self.backbone.output_dim:
-            raise ConfigError(
-                f"fusion spatial dim {self.hcma.spatial_dim} must match backbone output "
-                f"{self.backbone.output_dim}")
-        if self.hcma.freq_dim != self.cnnf.output_dim:
-            raise ConfigError(
-                f"fusion frequency dim {self.hcma.freq_dim} must match frequency CNN output "
-                f"{self.cnnf.output_dim}")
+        if self.precision not in PRECISIONS:
+            raise ConfigError(f"precision must be one of {PRECISIONS}, got {self.precision!r}")
 
     @property
     def dtype(self):
@@ -103,8 +92,6 @@ def extract_frontend(images: Sequence[PlanarImage],
     for i, (img, bbox) in enumerate(zip(images, bboxes)):
         rgb = crop_to_grid(img, bbox)
         spectra = restructure(rgb)
-        if spectra.block_rows < 2 or spectra.block_cols < 2:
-            raise InputError("cropped region smaller than 16x16; differential statistics undefined")
         if pixels is None:
             pixels = np.empty((n,) + rgb.pixels.shape, dtype=dtype)
             spectra_out = np.empty((n,) + spectra.coefficients.shape, dtype=dtype)
@@ -133,8 +120,8 @@ def desk_detector_config(init_seed: int = 0, **overrides) -> DetectorConfig:
                                 output_dim=256),
         sbcm=SbcmConfig(widths=(3, 8, 16, 64)),
         cnnf=CnnfConfig(widths=(192, 64, 128, 256), strides=(2, 2, 1)),
-        faae=FaaeConfig(spatial_channels=32, attn_dim=32),
-        hcma=HcmaConfig(spatial_dim=256, freq_dim=256, embed_dim=256, heads=8, tokens=8),
+        faae=FaaeConfig(attn_dim=32),
+        hcma=HcmaConfig(embed_dim=256, heads=8, tokens=8),
         init_seed=init_seed,
     )
     base.update(overrides)
@@ -152,8 +139,8 @@ class Detector(Layer):
         self.sbcm = Sbcm(cfg.sbcm, rng, dt) if cfg.use_sbcm else None
         self.cnnf = CnnF(cfg.cnnf, rng, dt)
         if cfg.fusion_mode == "hierarchical":
-            self.faae = Faae(cfg.faae, rng, dt)
-            self.hcma = Hcma(cfg.hcma, rng, dt)
+            self.faae = Faae(cfg.faae, cfg.backbone.shallow_channels, rng, dt)
+            self.hcma = Hcma(cfg.hcma, cfg.backbone.output_dim, cfg.cnnf.output_dim, rng, dt)
             self.classifier = Classifier(cfg.hcma.embed_dim, rng, dt)
         else:
             self.faae = None
@@ -181,7 +168,7 @@ class Detector(Layer):
             x_f = flatten_bands(self.sbcm.forward(x_spec, mode))
         else:
             hb, wb = x_spec.shape[-2:]
-            x_f = T.reshape(x_spec, (n, 192, hb, wb))
+            x_f = T.reshape(x_spec, (n, FREQ_CHANNELS, hb, wb))
         f_vec = self.cnnf.forward(x_f, mode)
 
         if self.cfg.fusion_mode == "hierarchical":

@@ -33,21 +33,14 @@ _SECTIONS = {
 
 @dataclass
 class RunConfig:
-    sbcm: SbcmConfig = field(default_factory=SbcmConfig)
-    cnnf: CnnfConfig = field(default_factory=CnnfConfig)
-    backbone: BackboneConfig = field(default_factory=BackboneConfig)
-    faae: FaaeConfig = field(default_factory=FaaeConfig)
-    hcma: HcmaConfig = field(default_factory=HcmaConfig)
+    """The detector plus the training and data settings.
+
+    The ``train`` and ``synth`` sections fill the fields of the same names;
+    every other section is a field of the one ``DetectorConfig``.
+    """
+    detector: DetectorConfig = field(default_factory=DetectorConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
-
-    def detector_config(self, use_sbcm: bool = True, fusion_mode: str = "hierarchical",
-                        use_sida_gate: bool = True, precision: str = "single",
-                        init_seed: int = 0) -> DetectorConfig:
-        return DetectorConfig(backbone=self.backbone, sbcm=self.sbcm, cnnf=self.cnnf,
-                              faae=self.faae, hcma=self.hcma, use_sbcm=use_sbcm,
-                              fusion_mode=fusion_mode, use_sida_gate=use_sida_gate,
-                              precision=precision, init_seed=init_seed)
 
 
 def _coerce(key: str, value, default):
@@ -89,7 +82,9 @@ def run_config_from_dict(doc: dict) -> RunConfig:
         if not isinstance(value, dict):
             raise UsageError(f"config section '{key}' must be a JSON object")
         sections[key] = _build_section(key, _SECTIONS[key], value)
-    return RunConfig(**sections)
+    run = {f.name: sections.pop(f.name) for f in dataclasses.fields(RunConfig)
+           if f.name in sections}
+    return RunConfig(detector=DetectorConfig(**sections), **run)
 
 
 def load_run_config(path: Optional[str]) -> RunConfig:

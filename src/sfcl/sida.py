@@ -59,12 +59,13 @@ class SidaDescriptor:
 
 
 def _require_grid(spectra: BlockSpectra, mode: str) -> None:
+    """The one grid check: the descriptor needs 2x2 blocks (16x16 pixels)."""
     if mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "row" and spectra.block_rows < 2:
-        raise InputError(f"row differentials need at least 2 block rows, got {spectra.block_rows}")
-    if mode == "col" and spectra.block_cols < 2:
-        raise InputError(f"col differentials need at least 2 block cols, got {spectra.block_cols}")
+    blocks = {"row": spectra.block_rows, "col": spectra.block_cols}.get(mode, 2)
+    if blocks < 2:
+        raise InputError(f"{mode} differentials need at least 2 block {mode}s, got {blocks}; "
+                         "the descriptor needs a 2x2 block grid (16x16 pixels)")
 
 
 def block_differential(spectra: BlockSpectra, mode: str) -> DifferentialMap:
@@ -189,9 +190,4 @@ def sida_from_image(img: PlanarImage, bbox: Optional[BoundingBox] = None) -> Sid
     The grid-cropped region must be at least 16x16 pixels so both inter-block
     modes are defined.
     """
-    spectra = restructure(img, bbox)
-    if spectra.block_rows < 2 or spectra.block_cols < 2:
-        raise InputError(
-            f"region gives a {spectra.block_rows}x{spectra.block_cols} block grid; "
-            "need at least 2x2 (16x16 pixels) for differential analysis")
-    return sida_descriptor(spectra)
+    return sida_descriptor(restructure(img, bbox))

@@ -684,14 +684,17 @@ def conv3d(x: Tensor, w: Tensor, stride_d: int = 1) -> Tensor:
 
 # -- batch normalization -----------------------------------------------------
 
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
               running_mean: np.ndarray, running_var: np.ndarray,
-              mode: str = "train", eps: float = 1e-5, momentum: float = 0.1) -> Tensor:
+              mode: str = "train") -> Tensor:
     """Per-channel batch normalization over axis 1 of x [N,C,...].
 
     Train mode normalizes by batch statistics (population variance) and folds
-    them into the running statistics with the given momentum; its output and
+    them into the running statistics with ``BN_MOMENTUM``; its output and
     gradients never read the running statistics. Infer mode normalizes by the
     running statistics. Train mode requires N >= 2.
     """
@@ -716,15 +719,15 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         # np.var's own sequence (subtract, square, sum, divide) on the
         # centered values, which then become xhat
         var = np.square(centered).sum(axis=axes) / count
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu.astype(running_mean.dtype)
-        running_var *= 1.0 - momentum
-        running_var += momentum * var.astype(running_var.dtype)
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mu.astype(running_mean.dtype)
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var.astype(running_var.dtype)
     else:
         centered = xd - running_mean.astype(xd.dtype).reshape(bshape)
         var = running_var.astype(xd.dtype)
 
-    inv_b = (1.0 / np.sqrt(var + eps)).reshape(bshape)
+    inv_b = (1.0 / np.sqrt(var + BN_EPS)).reshape(bshape)
     xhat = centered
     xhat *= inv_b  # in place: nothing reads centered again
     out = xhat * gamma.data.reshape(bshape)

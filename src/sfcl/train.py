@@ -50,22 +50,20 @@ def bce_loss(logits: Tensor, labels) -> Tensor:
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-              t: int, lr: float, weight_decay: float = 0.0,
-              beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2,
-              eps: float = ADAM_EPS) -> None:
+              t: int, lr: float, weight_decay: float = 0.0) -> None:
     """One in-place Adam update with bias correction; t is 1-based."""
     if not (theta.shape == grad.shape == m.shape == v.shape):
         raise ShapeError(
             f"adam_step: mismatched shapes theta {theta.shape}, grad {grad.shape}, "
             f"m {m.shape}, v {v.shape}")
     g = grad + weight_decay * theta
-    m *= beta1
-    m += (1 - beta1) * g
-    v *= beta2
-    v += (1 - beta2) * (g * g)
-    m_hat = m / (1 - beta1 ** t)
-    v_hat = v / (1 - beta2 ** t)
-    theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * (g * g)
+    m_hat = m / (1 - ADAM_BETA1 ** t)
+    v_hat = v / (1 - ADAM_BETA2 ** t)
+    theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class Adam:

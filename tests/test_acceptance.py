@@ -142,7 +142,7 @@ def test_c06_gradient_suite():
 
 def test_c07_attention_contracts():
     rng = np.random.default_rng(107)
-    faae = Faae(FaaeConfig(), rng, np.float64)
+    faae = Faae(FaaeConfig(), 64, rng, np.float64)
     worst_row = 0.0
     for _ in range(100):
         hb, wb = rng.integers(2, 4, size=2)
@@ -151,14 +151,13 @@ def test_c07_attention_contracts():
         worst_row = max(worst_row, np.abs(alpha.data.sum(axis=-1) - 1).max())
         assert (alpha.data >= 0).all()
 
-    closed = Faae(FaaeConfig(zero_init_out=False), rng, np.float64)
+    closed = Faae(FaaeConfig(zero_init_out=False), 64, rng, np.float64)
     closed.gamma_s.data = np.array(-30.0)
     x_s = Tensor(rng.standard_normal((2, 64, 2, 2)))
     x_f = Tensor(rng.standard_normal((2, 192, 2, 2)))
     identity_dev = np.abs(closed.forward(x_f, x_s, mode="infer").data - x_s.data).max()
 
-    hcma = Hcma(HcmaConfig(spatial_dim=12, freq_dim=10, embed_dim=16, heads=2, tokens=1),
-                rng, np.float64)
+    hcma = Hcma(HcmaConfig(embed_dim=16, heads=2, tokens=1), 12, 10, rng, np.float64)
     internals = {}
     hcma.fuse(Tensor(rng.standard_normal((2, 12))), Tensor(rng.standard_normal((2, 10))),
               Tensor(rng.standard_normal((2, 2304))), mode="infer", internals=internals)
@@ -228,7 +227,7 @@ def test_readme_desk_profile_matches_c10():
     section = readme.split("\n## Configuration\n", 1)[1]
     block = section.split("```json\n", 1)[1].split("```", 1)[0]
     run = run_config_from_dict(json.loads(block))
-    assert run.detector_config() == desk_detector_config()
+    assert run.detector == desk_detector_config()
     assert run.train == C10_TRAIN
 
 

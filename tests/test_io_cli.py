@@ -1,5 +1,6 @@
 """File formats, strict config parsing, and the CLI contract."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,11 +9,12 @@ import struct
 import numpy as np
 import pytest
 
-from sfcl import cli
+from sfcl import cli, runconfig
 from sfcl.errors import FormatError, InputError, UsageError
 from sfcl.frequency import PlanarImage
 from sfcl.io import (descriptor_csv_rows, format_cell, load_bbox_manifest,
                      load_dataset_manifest, read_ppm, write_csv, write_ppm)
+from sfcl.model import DetectorConfig
 from sfcl.modelfile import load_model, save_model
 from sfcl.runconfig import load_run_config, run_config_from_dict
 from sfcl.sida import MODES, SidaDescriptor, sida_from_image
@@ -207,7 +209,8 @@ def _model_header(count):
 class TestRunConfig:
     def test_defaults(self):
         run = load_run_config(None)
-        assert run.hcma.embed_dim == 1024
+        assert run.detector == DetectorConfig()
+        assert run.detector.hcma.embed_dim == 1024
         assert run.train.batch_size == 20
 
     def test_unknown_top_key(self):
@@ -227,8 +230,8 @@ class TestRunConfig:
             run_config_from_dict({"sbcm": {"kernels": [7, "5", 3]}})
         with pytest.raises(UsageError, match=r"sbcm\.kernels.*list"):
             run_config_from_dict({"sbcm": {"kernels": 7}})
-        with pytest.raises(UsageError, match=r"sbcm\.batchnorm.*bool"):
-            run_config_from_dict({"sbcm": {"batchnorm": 1}})
+        with pytest.raises(UsageError, match=r"faae\.zero_init_out.*bool"):
+            run_config_from_dict({"faae": {"zero_init_out": 1}})
 
     def test_int_accepted_for_float(self):
         run = run_config_from_dict({"train": {"learning_rate": 1}})
@@ -238,7 +241,42 @@ class TestRunConfig:
         run = run_config_from_dict({"train": {"epochs": 3, "batch_size": 4},
                                     "hcma": {"embed_dim": 64, "heads": 4, "tokens": 4}})
         assert run.train.epochs == 3
-        assert run.hcma.token_dim == 16
+        assert run.detector.hcma.token_dim == 16
+
+    @pytest.mark.parametrize("section, key", [
+        ("faae", "spatial_channels"), ("faae", "freq_channels"),
+        ("hcma", "spatial_dim"), ("hcma", "freq_dim"), ("sbcm", "batchnorm")])
+    def test_derived_and_removed_keys_are_unknown(self, section, key):
+        with pytest.raises(UsageError, match=rf"unknown config key '{section}\.{key}'"):
+            run_config_from_dict({section: {key: 1}})
+
+
+class TestConfigKeys:
+    """Every JSON key each config section accepts; a change here changes the file format."""
+
+    KEYS = {
+        "sbcm": ["kernels", "strides", "widths"],
+        "cnnf": ["widths", "strides"],
+        "backbone": ["stem_widths", "deep_widths", "output_dim"],
+        "faae": ["attn_dim", "zero_init_out"],
+        "hcma": ["embed_dim", "heads", "tokens"],
+        "train": ["learning_rate", "weight_decay", "batch_size", "epochs", "seed"],
+        "synth": ["count", "height", "width", "seed", "recipe", "grain", "smooth_passes"],
+    }
+
+    def test_section_keys_match_snapshot(self):
+        got = {name: [f.name for f in dataclasses.fields(cls)]
+               for name, cls in runconfig._SECTIONS.items()}
+        assert got == self.KEYS
+        assert sum(map(len, got.values())) == 25
+
+    def test_every_key_loads_into_its_section(self):
+        for name, cls in runconfig._SECTIONS.items():
+            doc = {k: list(v) if isinstance(v, tuple) else v
+                   for k, v in dataclasses.asdict(cls()).items()}
+            run = run_config_from_dict({name: doc})
+            owner = run if name in ("train", "synth") else run.detector
+            assert getattr(owner, name) == cls()
 
 
 def _tiny_config(tmp_path):
@@ -246,8 +284,8 @@ def _tiny_config(tmp_path):
         "backbone": {"stem_widths": [3, 4, 6, 8], "deep_widths": [8, 10], "output_dim": 16},
         "sbcm": {"widths": [3, 6, 8, 64]},
         "cnnf": {"widths": [192, 8, 8, 16], "strides": [2, 2, 1]},
-        "faae": {"spatial_channels": 8, "attn_dim": 8},
-        "hcma": {"spatial_dim": 16, "freq_dim": 16, "embed_dim": 32, "heads": 2, "tokens": 4},
+        "faae": {"attn_dim": 8},
+        "hcma": {"embed_dim": 32, "heads": 2, "tokens": 4},
         "train": {"epochs": 1, "batch_size": 4, "seed": 3},
         "synth": {"count": 4, "height": 16, "width": 16, "seed": 5},
     }
@@ -416,6 +454,42 @@ class TestCli:
         err = json.loads(lines[0])
         assert err["type"] == "UsageError"
         assert "train.epochs" in err["message"] and "int" in err["message"]
+
+    def test_train_bad_sbcm_width_fails_before_reading_images(self, tmp_path, capsys,
+                                                              monkeypatch):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"sbcm": {"widths": [4, 8, 16, 64]}}))
+        data = str(tmp_path / "data")
+        synth_generate(SynthConfig(count=2, height=16, width=16, seed=1), out_dir=data)
+
+        def no_read(path):
+            raise AssertionError(f"train read {path} before rejecting its config")
+        monkeypatch.setattr(cli, "read_ppm", no_read)
+        capsys.readouterr()
+        code = cli.main(["train", "--config", str(cfg), "--data", data,
+                         "--out", str(tmp_path / "m.sfcl")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["type"] == "ConfigError"
+        assert "input width must be 3" in err["message"] and "got 4" in err["message"]
+        assert not (tmp_path / "m.sfcl").exists()
+
+    def test_model_flags_replace_config_fields(self, tmp_path):
+        cfg = _tiny_config(tmp_path)
+        base = cli._detector_config(cli.build_parser().parse_args(
+            ["train", "--config", cfg, "--data", "d", "--out", "m"]),
+            load_run_config(cfg))
+        assert base == load_run_config(cfg).detector
+        args = cli.build_parser().parse_args(
+            ["train", "--config", cfg, "--data", "d", "--out", "m", "--no-sbcm",
+             "--fusion-mode", "concat", "--no-sida-gate", "--precision", "double",
+             "--init-seed", "7"])
+        got = cli._detector_config(args, load_run_config(cfg))
+        assert got == dataclasses.replace(base, use_sbcm=False, fusion_mode="concat",
+                                          use_sida_gate=False, precision="double",
+                                          init_seed=7)
 
     def test_thread_env_validation(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SFCL_THREADS", "zero")

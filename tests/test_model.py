@@ -6,10 +6,9 @@ import pytest
 from sfcl.checks import tiny_detector_config
 from sfcl.errors import ConfigError, InputError
 from sfcl.frequency import PlanarImage
-from sfcl.fusion import HcmaConfig
-from sfcl.local_branch import Sbcm, SbcmConfig
 from sfcl.model import (Detector, DetectorConfig, desk_detector_config,
                         extract_frontend)
+from sfcl.spatial import BackboneConfig
 from sfcl.train import evaluate
 
 
@@ -98,10 +97,15 @@ class TestEvaluate:
 
 
 class TestConfigValidation:
-    def test_fusion_dims_must_match(self):
-        with pytest.raises(ConfigError):
-            tiny_detector_config(0, hcma=HcmaConfig(spatial_dim=99, freq_dim=16,
-                                                    embed_dim=32, heads=2, tokens=4))
+    def test_fusion_widths_follow_a_changed_backbone(self, rng):
+        backbone = BackboneConfig(stem_widths=(3, 8, 12, 16), deep_widths=(16, 24),
+                                  output_dim=64)
+        model = Detector(desk_detector_config(backbone=backbone))
+        assert model.faae.q_s.w.shape == (16, 32) and model.faae.out.w.shape == (16, 16)
+        assert model.hcma.proj_s.w.shape == (64, 256)
+        assert model.hcma.proj_f.w.shape == (256, 256)
+        _, probs = model.forward(_batch(rng, dtype=np.float32), mode="train")
+        assert probs.shape == (2,) and np.isfinite(probs.data).all()
 
     def test_bad_fusion_mode(self):
         with pytest.raises(ConfigError):
@@ -425,12 +429,3 @@ class TestParameterKeys:
         assert _keys(model.trainables()) == trainables
         assert _keys(model.buffers()) == buffers
         assert list(model.state_arrays()) == [n for n, _ in trainables + buffers]
-
-    def test_sbcm_without_batchnorm_keeps_conv_indices(self):
-        sbcm = Sbcm(SbcmConfig(batchnorm=False), np.random.default_rng(0))
-        assert _keys(sbcm.trainables("sbcm")) == [
-            ("sbcm.conv0.w", (16, 3, 7)),
-            ("sbcm.conv1.w", (32, 16, 5)),
-            ("sbcm.conv2.w", (64, 32, 3)),
-        ]
-        assert sbcm.buffers("sbcm") == []

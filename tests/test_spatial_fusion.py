@@ -46,7 +46,7 @@ class TestBackbone:
 
 
 def _faae(rng, dtype=np.float64, **kw):
-    return Faae(FaaeConfig(**kw), rng, dtype)
+    return Faae(FaaeConfig(**kw), 64, rng, dtype)
 
 
 class TestFaae:
@@ -134,9 +134,9 @@ class TestFaae:
 
 class TestHcma:
     def _small(self, rng, **kw):
-        cfg = dict(spatial_dim=12, freq_dim=10, embed_dim=16, heads=2, tokens=4)
+        cfg = dict(embed_dim=16, heads=2, tokens=4)
         cfg.update(kw)
-        return Hcma(HcmaConfig(**cfg), rng, np.float64)
+        return Hcma(HcmaConfig(**cfg), 12, 10, rng, np.float64)
 
     def test_zero_gate_weights_halve_the_residual_sum(self, rng):
         hcma = self._small(rng)
