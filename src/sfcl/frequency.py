@@ -45,13 +45,16 @@ class BoundingBox:
 class PlanarImage:
     """Three full-resolution planes with an explicit color-space tag.
 
-    ``pixels`` has shape [3, H, W] with samples in [0, 255].
+    ``pixels`` has shape [3, H, W] with ``uint8`` or float64 samples in
+    [0, 255]: ``uint8`` planes are kept as they are, any other dtype becomes
+    float64.
     """
     pixels: np.ndarray
     color_space: str  # "rgb" or "ycbcr"
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
+        px = np.asarray(self.pixels)
+        self.pixels = px if px.dtype == np.uint8 else px.astype(np.float64, copy=False)
         if self.pixels.ndim != 3 or self.pixels.shape[0] != 3:
             raise UsageError(f"PlanarImage needs [3,H,W] pixels, got {self.pixels.shape}")
         if self.color_space not in ("rgb", "ycbcr"):
@@ -132,15 +135,17 @@ _DCT_ZIGZAG = np.kron(_DCT, _DCT)[_ZIGZAG_FLAT]
 def _ycbcr_rows(rgb: np.ndarray, out: np.ndarray, rg: np.ndarray, bg: np.ndarray) -> None:
     """Full-range BT.601 of RGB rows [3, rows, W] into `out`, clamped to [0, 255].
 
-    `rg` and `bg` are [rows, W] buffers, and out[1] and out[2] hold products
-    until their own channel is formed. Each value gets the same operations in
-    the same order whatever rows come with it, so a conversion split into
-    strips equals one done whole.
+    `rgb` holds ``uint8`` or float64 samples; the differences are formed in
+    float64, so ``uint8`` ones cannot wrap. `rg` and `bg` are [rows, W]
+    buffers, and out[1] and out[2] hold products until their own channel is
+    formed. Each value gets the same operations in the same order whatever
+    rows come with it, so a conversion split into strips equals one done
+    whole.
     """
     r, g, b = rgb
     y, cb, cr = out
-    np.subtract(r, g, out=rg)
-    np.subtract(b, g, out=bg)
+    np.subtract(r, g, out=rg, dtype=np.float64)
+    np.subtract(b, g, out=bg, dtype=np.float64)
     np.multiply(rg, 0.299, out=y)  # Y = g + 0.299 rg + 0.114 bg
     y += g
     np.multiply(bg, 0.114, out=cb)
@@ -213,8 +218,6 @@ def restructure(img: PlanarImage, bbox: Optional[BoundingBox] = None) -> BlockSp
     slots = (out[1].reshape(spare.shape), out[2].reshape(spare.shape), spare)
     px = region.pixels
     rgb = region.color_space == "rgb"
-    if rgb and px.strides[2] != px.itemsize:
-        px = np.ascontiguousarray(px)  # row strips of another layout read with a stride
     step = BLOCK * max(1, _STRIP_BYTES // (BLOCK * w * 8))  # whole block rows
     if rgb:
         buf = np.empty((5, min(step, h), w))  # YCbCr rows, rg, bg
@@ -224,7 +227,10 @@ def restructure(img: PlanarImage, bbox: Optional[BoundingBox] = None) -> BlockSp
         if rgb:
             n = min(step, h - lo)
             ycc = buf[:3, :n]
-            _ycbcr_rows(px[:, rows], ycc, buf[3, :n], buf[4, :n])
+            strip = px[:, rows]
+            if strip.strides[2] != strip.itemsize:  # rows of another layout read with a stride
+                strip = np.ascontiguousarray(strip)
+            _ycbcr_rows(strip, ycc, buf[3, :n], buf[4, :n])
         for ch in range(3):
             np.subtract(_plane_to_blocks(ycc[ch]), 128.0,
                         out=slots[ch][lo // BLOCK:(lo + step) // BLOCK])

@@ -18,7 +18,7 @@ _WHITESPACE = b" \t\n\r\x0b\x0c"
 
 
 def read_ppm(path) -> PlanarImage:
-    """Read a binary (P6) 8-bit PPM into planar RGB floats.
+    """Read a binary (P6) 8-bit PPM into C-ordered planar RGB ``uint8`` samples.
 
     Header tolerance is deliberately small: whitespace-separated tokens, no
     comments, maxval 255, exactly one whitespace byte after the maxval.
@@ -54,7 +54,7 @@ def read_ppm(path) -> PlanarImage:
     if len(data) != need:
         raise InputError(f"{path}: expected {need} pixel bytes, found {len(data)}")
     arr = np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3)
-    return PlanarImage(arr.transpose(2, 0, 1).astype(np.float64, order="C"), "rgb")
+    return PlanarImage(np.ascontiguousarray(arr.transpose(2, 0, 1)), "rgb")
 
 
 def write_ppm(path, img: PlanarImage) -> None:

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import UsageError
+from .errors import ConfigError, UsageError
 from .fusion import FaaeConfig, HcmaConfig
 from .local_branch import CnnfConfig, SbcmConfig
 from .model import DetectorConfig
@@ -31,6 +32,12 @@ _SECTIONS = {
 }
 
 
+# The one range rule: every number in a config is finite and positive, and
+# these keys may also be zero.
+_ZERO_ALLOWED = frozenset({"train.seed", "train.weight_decay", "synth.seed", "synth.grain",
+                           "synth.smooth_passes"})
+
+
 @dataclass
 class RunConfig:
     """The detector plus the training and data settings.
@@ -44,7 +51,7 @@ class RunConfig:
 
 
 def _coerce(key: str, value, default):
-    """Check a JSON value against the type of the field's default.
+    """Check a JSON value against the type of the field's default and the range rule.
 
     Tuple fields take lists; an int passes for a float, a bool never for an int.
     """
@@ -54,11 +61,20 @@ def _coerce(key: str, value, default):
         raise UsageError(f"config key '{key}' must be a list, got {json.dumps(value)}")
     kind = type(default)
     if isinstance(value, bool) == (kind is bool):
-        if isinstance(value, kind):
-            return value
         if kind is float and isinstance(value, int):
-            return float(value)
+            value = float(value)
+        if isinstance(value, kind):
+            if kind in (int, float):
+                _check_range(key, value)
+            return value
     raise UsageError(f"config key '{key}' must be {kind.__name__}, got {json.dumps(value)}")
+
+
+def _check_range(key: str, value) -> None:
+    zero_ok = key in _ZERO_ALLOWED
+    if not (math.isfinite(value) and (value > 0 or (zero_ok and value == 0))):
+        raise ConfigError(f"config key '{key}' must be finite and {'>= 0' if zero_ok else '> 0'}, "
+                          f"got {json.dumps(value)}")
 
 
 def _build_section(name: str, cls, doc: dict):

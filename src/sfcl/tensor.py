@@ -17,7 +17,9 @@ Design constraints honoured throughout:
 * convolution uses the cross-correlation convention (no kernel flip),
 * ``attention`` never builds its [B, M, L] score map: each chunk it
   computes always covers whole score rows, so every row's softmax runs on
-  complete rows, as the unfused ``matmul``/``softmax_rows`` chain's does.
+  complete rows, as the unfused ``matmul``/``softmax_rows`` chain's does,
+* the convolution forwards never hold their whole input's padded copy or
+  window copy, only one chunk's (``_CONV_CHUNK``).
 """
 
 from __future__ import annotations
@@ -194,10 +196,15 @@ def backward(loss: Tensor) -> None:
 # -- construction helpers ----------------------------------------------
 
 
+def _records(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on ``parents`` records a graph node."""
+    return _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
+
+
 def _node(data: np.ndarray, op: str, parents: Sequence[Tensor],
           bw: Callable) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = bw
@@ -473,6 +480,23 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _node(y, "softmax_rows", (x,), bw)
 
 
+def _chunks(n: int, rows: int, row_size: int, budget: int, min_rows: int,
+            split_rows: bool = True) -> list:
+    """(sample slice, row slice) pairs that cover [N, rows] in whole rows.
+
+    A sample costs ``rows * row_size`` of a per-chunk ``budget``. A chunk is
+    as many whole samples as fit in the budget, at least one. With
+    ``split_rows``, a sample that does not fit is cut into chunks of as many
+    rows as fit, at least ``min_rows``.
+    """
+    per_sample = rows * row_size
+    if per_sample <= budget or not split_rows:
+        step = max(1, budget // per_sample)
+        return [(slice(i, i + step), slice(None)) for i in range(0, n, step)]
+    step = max(min_rows, budget // row_size)
+    return [(slice(i, i + 1), slice(r, r + step)) for i in range(n) for r in range(0, rows, step)]
+
+
 # Scores per attention chunk: 256 KiB of float32, so the softmax passes over
 # a chunk run in cache.
 _ATTN_CHUNK = 1 << 16
@@ -480,22 +504,6 @@ _ATTN_CHUNK = 1 << 16
 # too small, and BLAS repacks all of k for each chunk (a 1024 px image's
 # FAAE took 7.3 s in chunks of 4 rows and 1.9 s in chunks of 64).
 _ATTN_ROWS = 64
-
-
-def _attention_chunks(b: int, m: int, l: int, split_rows: bool) -> list:
-    """(sample slice, row slice) pairs that cover [B, M] in whole score rows.
-
-    A chunk is as many whole samples as fit in ``_ATTN_CHUNK`` scores, at
-    least one. With ``split_rows``, a sample whose map is larger than that
-    is cut into chunks of ``_ATTN_CHUNK`` scores' rows, at least
-    ``_ATTN_ROWS``.
-    """
-    per_sample = m * l
-    if per_sample <= _ATTN_CHUNK or not split_rows:
-        step = max(1, _ATTN_CHUNK // per_sample)
-        return [(slice(i, i + step), slice(None)) for i in range(0, b, step)]
-    rows = max(_ATTN_ROWS, _ATTN_CHUNK // l)
-    return [(slice(i, i + 1), slice(r, r + rows)) for i in range(b) for r in range(0, m, rows)]
 
 
 def _attention_probs(q: np.ndarray, kt: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -531,14 +539,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     kt = kd.transpose(0, 2, 1)
     scale = np.asarray(scale, dtype=qd.dtype)  # as mul's scalar operand
     out = np.empty((b, m, vd.shape[2]), dtype=qd.dtype)
-    for n, r in _attention_chunks(b, m, l, split_rows=True):
+    for n, r in _chunks(b, m, l, _ATTN_CHUNK, _ATTN_ROWS):
         np.matmul(_attention_probs(qd[n, r], kt[n], scale), vd[n], out=out[n, r])
 
     def bw(g):
         dq = np.empty(qd.shape, dtype=qd.dtype)
         dkt = np.empty((b, kd.shape[2], l), dtype=kd.dtype)
         dv = np.empty(vd.shape, dtype=vd.dtype)
-        for n, _ in _attention_chunks(b, m, l, split_rows=False):
+        for n, _ in _chunks(b, m, l, _ATTN_CHUNK, _ATTN_ROWS, split_rows=False):
             p = _attention_probs(qd[n], kt[n], scale)
             np.matmul(p.transpose(0, 2, 1), g[n], out=dv[n])
             ds = g[n] @ vd[n].transpose(0, 2, 1)  # gradient of the probabilities
@@ -555,6 +563,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
 
 # -- convolutions ----------------------------------------------------------
 
+# Bytes of window copy per convolution chunk. einsum copies the strided
+# windows it contracts into one array, so a forward holds one chunk's copy,
+# never the whole input's.
+_CONV_CHUNK = 1 << 22
+# Fewest output rows in a chunk of one sample's rows: fewer rows would make
+# each product a sliver.
+_CONV_ROWS = 8
+
 
 def _pair(v) -> tuple:
     if isinstance(v, (tuple, list)):
@@ -562,11 +578,58 @@ def _pair(v) -> tuple:
     return int(v), int(v)
 
 
+def _channel_major(shape: tuple, dtype) -> np.ndarray:
+    """An empty [N, C, ...] array in the layout the convolutions' einsums
+    return: C outermost in memory when N > 1, C-ordered when N is 1.
+
+    Later ops keep that layout, and reductions such as batchnorm's sum in
+    memory order, so a chunked forward must write into this same layout.
+    """
+    if shape[0] == 1:
+        return np.empty(shape, dtype=dtype)
+    return np.empty((shape[1], shape[0]) + shape[2:], dtype=dtype).swapaxes(0, 1)
+
+
+def _conv2d_geometry(op: str, x: np.ndarray, kh: int, kw: int, stride, pad) -> tuple:
+    """((kh, kw, sh, sw, ph, pw), Ho, Wo) once the kernel fits the padded input."""
+    (sh, sw), (ph, pw) = _pair(stride), _pair(pad)
+    hp, wp = x.shape[2] + 2 * ph, x.shape[3] + 2 * pw
+    if kh > hp or kw > wp:
+        raise ShapeError(f"{op}: kernel ({kh},{kw}) larger than padded input ({hp},{wp})")
+    return (kh, kw, sh, sw, ph, pw), (hp - kh) // sh + 1, (wp - kw) // sw + 1
+
+
+def _windows(x: np.ndarray, rows: slice, ho: int, geometry: tuple) -> np.ndarray:
+    """[N, C, rows, Wo, kh, kw] window view of x [N, C, H, W] for output ``rows``.
+
+    It views a zero-padded copy of only the input rows those outputs read;
+    for every row, that copy is the whole padded input.
+    """
+    kh, kw, sh, sw, ph, pw = geometry
+    n, c, h, w = x.shape
+    r0, r1, _ = rows.indices(ho)
+    lo = r0 * sh - ph
+    hi = h + ph if r1 == ho else (r1 - 1) * sh - ph + kh
+    xp = np.zeros((n, c, hi - lo, w + 2 * pw), dtype=x.dtype)
+    a, b = max(lo, 0), min(hi, h)
+    xp[:, :, a - lo:b - lo, pw:pw + w] = x[:, :, a:b]
+    return sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+
+
 def conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
-    """2D cross-correlation. x: [N,C_in,H,W]; w: [C_out,C_in,kh,kw]."""
+    """2D cross-correlation. x: [N,C_in,H,W]; w: [C_out,C_in,kh,kw].
+
+    The forward runs one einsum per chunk of ``_chunks`` (whole samples, or
+    output rows of one sample whose windows exceed ``_CONV_CHUNK``) into an
+    output laid out as one einsum over the batch lays it out. Each chunk's
+    product covers a subset of the output columns. Where every chunk has a
+    multiple of 16 columns per channel, the output was bit-equal to one
+    einsum's in every case tested, the desk model's training and inference
+    on 64 to 1024 px crops among them. Elsewhere BLAS may round a chunk's
+    product apart from the whole one in the last bits, as an einsum over
+    fewer samples already can.
+    """
     _check_same_precision("conv2d", x, w)
-    sh, sw = _pair(stride)
-    ph, pw = _pair(pad)
     xd = x.data
     if xd.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: expected [N,C_in,H,W] input and 4D kernel, got {x.shape} and {w.shape}")
@@ -574,18 +637,19 @@ def conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
     co, ci_w, kh, kw = w.shape
     if ci != ci_w:
         raise ShapeError(f"conv2d: input channels {ci} do not match kernel channels {ci_w}")
-    hp, wp = h + 2 * ph, wd_ + 2 * pw
-    if kh > hp or kw > wp:
-        raise ShapeError(f"conv2d: kernel ({kh},{kw}) larger than padded input ({hp},{wp})")
-    ho = (hp - kh) // sh + 1
-    wo = (wp - kw) // sw + 1
+    geo, ho, wo = _conv2d_geometry("conv2d", xd, kh, kw, stride, pad)
+    _, _, sh, sw, ph, pw = geo
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    out = np.einsum("ncpqij,ocij->nopq", win, w.data, optimize=True)
+    out = _channel_major((n, co, ho, wo), xd.dtype)
+    for ns, rs in _chunks(n, ho, ci * kh * kw * wo * xd.itemsize, _CONV_CHUNK, _CONV_ROWS):
+        np.einsum("ncpqij,ocij->nopq", _windows(xd[ns], rs, ho, geo), w.data,
+                  out=out[ns, :, rs], optimize=True)
 
     def bw(g):
-        dw = np.einsum("nopq,ncpqij->ocij", g, win, optimize=True) if w.requires_grad else None
+        dw = None
+        if w.requires_grad:  # the padded input is built again, not kept from the forward
+            win = _windows(xd, slice(None), ho, geo)
+            dw = np.einsum("nopq,ncpqij->ocij", g, win, optimize=True)
         if not x.requires_grad:
             return None, dw
         # Channels-last accumulator: each tap adds rows of C contiguous values.
@@ -595,7 +659,7 @@ def conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
         # BLAS call einsum on g made, so dx keeps its bits; a matmul over an
         # [N*H*W, C_out] copy rounds differently on some shapes (tested).
         g_cols = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(co, -1)
-        dxp = np.zeros((n, hp, wp, ci), dtype=xd.dtype)
+        dxp = np.zeros((n, h + 2 * ph, wd_ + 2 * pw, ci), dtype=xd.dtype)
         for i in range(kh):
             for j in range(kw):
                 dxp[:, i:i + sh * ho:sh, j:j + sw * wo:sw] += np.einsum(
@@ -606,10 +670,11 @@ def conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
-    """Per-channel 2D cross-correlation. x: [N,C,H,W]; w: [C,kh,kw]."""
+    """Per-channel 2D cross-correlation. x: [N,C,H,W]; w: [C,kh,kw].
+
+    Chunked as :func:`conv2d`.
+    """
     _check_same_precision("depthwise_conv2d", x, w)
-    sh, sw = _pair(stride)
-    ph, pw = _pair(pad)
     xd = x.data
     if xd.ndim != 4 or w.ndim != 3:
         raise ShapeError(
@@ -618,23 +683,24 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
     cw, kh, kw = w.shape
     if c != cw:
         raise ShapeError(f"depthwise_conv2d: channels {c} do not match kernel channels {cw}")
-    hp, wp = h + 2 * ph, wd_ + 2 * pw
-    if kh > hp or kw > wp:
-        raise ShapeError(f"depthwise_conv2d: kernel ({kh},{kw}) larger than padded input ({hp},{wp})")
-    ho = (hp - kh) // sh + 1
-    wo = (wp - kw) // sw + 1
+    geo, ho, wo = _conv2d_geometry("depthwise_conv2d", xd, kh, kw, stride, pad)
+    _, _, sh, sw, ph, pw = geo
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    out = np.einsum("ncpqij,cij->ncpq", win, w.data, optimize=True)
+    out = _channel_major((n, c, ho, wo), xd.dtype)
+    for ns, rs in _chunks(n, ho, c * kh * kw * wo * xd.itemsize, _CONV_CHUNK, _CONV_ROWS):
+        np.einsum("ncpqij,cij->ncpq", _windows(xd[ns], rs, ho, geo), w.data,
+                  out=out[ns, :, rs], optimize=True)
 
     def bw(g):
-        dw = np.einsum("ncpq,ncpqij->cij", g, win, optimize=True) if w.requires_grad else None
+        dw = None
+        if w.requires_grad:
+            win = _windows(xd, slice(None), ho, geo)
+            dw = np.einsum("ncpq,ncpqij->cij", g, win, optimize=True)
         if not x.requires_grad:
             return None, dw
         # Channels-last accumulator, handed on C-ordered, as in conv2d.
         g_last = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
-        dxp = np.zeros((n, hp, wp, c), dtype=xd.dtype)
+        dxp = np.zeros((n, h + 2 * ph, wd_ + 2 * pw, c), dtype=xd.dtype)
         for i in range(kh):
             for j in range(kw):
                 dxp[:, i:i + sh * ho:sh, j:j + sw * wo:sw] += g_last * w.data[:, i, j]
@@ -646,7 +712,8 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
 def conv3d(x: Tensor, w: Tensor, stride_d: int = 1) -> Tensor:
     """Depth-only 3D cross-correlation: kernels span the depth axis, spatial extent 1x1.
 
-    x: [N,C_in,D,H,W]; w: [C_out,C_in,kd].
+    x: [N,C_in,D,H,W]; w: [C_out,C_in,kd]. Chunked as :func:`conv2d`, with
+    rows along H.
     """
     _check_same_precision("conv3d", x, w)
     if stride_d < 1:
@@ -664,11 +731,18 @@ def conv3d(x: Tensor, w: Tensor, stride_d: int = 1) -> Tensor:
     if kd > d:
         raise ShapeError(f"conv3d: kernel depth {kd} exceeds input depth {d}")
     do = (d - kd) // stride_d + 1
-    xw = sliding_window_view(xd, kd, axis=2)[:, :, ::stride_d]  # [N,C_in,D',H,W,kd], a view
-    out = np.einsum("ncdhwk,ock->nodhw", xw, wd, optimize=True)
+
+    def windows(ns, rs):  # [N,C_in,D',H,W,kd], a view
+        return sliding_window_view(xd[ns, :, :, rs], kd, axis=2)[:, :, ::stride_d]
+
+    out = _channel_major((n, co, do, h, wd_sp), xd.dtype)
+    for ns, rs in _chunks(n, h, ci * do * wd_sp * kd * xd.itemsize, _CONV_CHUNK, _CONV_ROWS):
+        np.einsum("ncdhwk,ock->nodhw", windows(ns, rs), wd, out=out[ns, :, :, rs], optimize=True)
 
     def bw(g):
-        dwk = np.einsum("nodhw,ncdhwk->ock", g, xw, optimize=True) if w.requires_grad else None
+        dwk = None
+        if w.requires_grad:
+            dwk = np.einsum("nodhw,ncdhwk->ock", g, windows(slice(None), slice(None)), optimize=True)
         if not x.requires_grad:
             return None, dwk
         dxw = np.einsum("nodhw,ock->ncdkhw", g, wd, optimize=True)
@@ -730,7 +804,9 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
     inv_b = (1.0 / np.sqrt(var + BN_EPS)).reshape(bshape)
     xhat = centered
     xhat *= inv_b  # in place: nothing reads centered again
-    out = xhat * gamma.data.reshape(bshape)
+    # Without a graph nothing reads xhat again either, so it takes the output.
+    out = xhat if not _records((x, gamma, beta)) else None
+    out = np.multiply(xhat, gamma.data.reshape(bshape), out=out)
     out += beta.data.reshape(bshape)
 
     def bw(g):

@@ -9,6 +9,8 @@ import oracles
 from sfcl import frequency as fq
 from sfcl.errors import InputError, UsageError
 from sfcl.frequency import BoundingBox, PlanarImage
+from sfcl.model import extract_frontend
+from sfcl.sida import sida_descriptor
 
 
 def _solid(r, g, b, h=8, w=8):
@@ -239,3 +241,49 @@ class TestStreamedRestructure:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * spectra.coefficients.nbytes
+
+    def test_column_major_planes_copied_a_strip_at_a_time(self, rng):
+        # the bound above plus one strip copy of three planes, not a whole crop
+        img = PlanarImage(_transposed(rng.uniform(0, 255, (3, 512, 512))), "rgb")
+        tracemalloc.start()
+        try:
+            spectra = fq.restructure(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * spectra.coefficients.nbytes + 3 * fq._STRIP_BYTES
+
+
+class TestEightBitPlanes:
+    """uint8 planes give the bits float64 planes of the same values give."""
+
+    @staticmethod
+    def _planes(rng):
+        px = rng.integers(0, 256, (3, 48, 56), dtype=np.uint8)
+        r, g, b = px.astype(np.int64)
+        assert ((r < g) & (b < g)).sum() > 100  # r - g and b - g would wrap in uint8
+        return px
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("bbox", [None, BoundingBox(5, 3, 40, 33)])
+    def test_restructure_and_descriptor(self, rng, bbox, transposed):
+        px = self._planes(rng)
+        planes = _transposed(px) if transposed else px
+        got = fq.restructure(PlanarImage(planes, "rgb"), bbox)
+        want = fq.restructure(PlanarImage(px.astype(np.float64), "rgb"), bbox)
+        assert np.array_equal(got.coefficients, want.coefficients)
+        assert np.array_equal(sida_descriptor(got).values, sida_descriptor(want).values)
+
+    @pytest.mark.parametrize("bbox", [None, BoundingBox(5, 3, 40, 33)])
+    def test_extract_frontend(self, rng, bbox):
+        planes = [self._planes(rng) for _ in range(2)]
+        got = extract_frontend([PlanarImage(p, "rgb") for p in planes], [bbox, bbox])
+        want = extract_frontend([PlanarImage(p.astype(np.float64), "rgb") for p in planes],
+                                [bbox, bbox])
+        for name in ("pixels", "spectra", "descriptors"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_plane_dtypes(self):
+        assert PlanarImage(np.zeros((3, 8, 8), dtype=np.uint8), "rgb").pixels.dtype == np.uint8
+        for dtype in (np.float32, np.int64, np.uint16):
+            assert PlanarImage(np.zeros((3, 8, 8), dtype=dtype), "rgb").pixels.dtype == np.float64

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sfcl import cli, runconfig
-from sfcl.errors import FormatError, InputError, UsageError
+from sfcl.errors import ConfigError, FormatError, InputError, UsageError
 from sfcl.frequency import PlanarImage
 from sfcl.io import (descriptor_csv_rows, format_cell, load_bbox_manifest,
                      load_dataset_manifest, read_ppm, write_csv, write_ppm)
@@ -29,6 +29,7 @@ class TestPpm:
         back = read_ppm(path)
         assert back.color_space == "rgb"
         assert np.array_equal(back.pixels, px)
+        assert back.pixels.dtype == np.uint8  # the file's samples, not 8-byte floats
         assert back.pixels.flags.c_contiguous  # planar, not the file's interleaved order
 
     def test_bad_magic(self, tmp_path):
@@ -243,6 +244,20 @@ class TestRunConfig:
         assert run.train.epochs == 3
         assert run.detector.hcma.token_dim == 16
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("hcma", "heads", 0), ("cnnf", "strides", [2, 0, 1]), ("sbcm", "widths", [3, -16, 32, 64]),
+        ("train", "seed", -1), ("train", "weight_decay", -1e-8), ("train", "epochs", -3),
+        ("train", "learning_rate", float("inf")), ("synth", "grain", float("-inf")),
+        ("synth", "count", 0)])
+    def test_numbers_outside_the_range_rule(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"'{section}\.{key}(\[\d\])?' must be finite"):
+            run_config_from_dict({section: {key: value}})
+
+    def test_zero_where_the_range_rule_allows_it(self):
+        run = run_config_from_dict({"train": {"seed": 0, "weight_decay": 0},
+                                    "synth": {"seed": 0, "grain": 0, "smooth_passes": 0}})
+        assert run.train.weight_decay == 0.0 and run.synth.smooth_passes == 0
+
     @pytest.mark.parametrize("section, key", [
         ("faae", "spatial_channels"), ("faae", "freq_channels"),
         ("hcma", "spatial_dim"), ("hcma", "freq_dim"), ("sbcm", "batchnorm")])
@@ -454,6 +469,31 @@ class TestCli:
         err = json.loads(lines[0])
         assert err["type"] == "UsageError"
         assert "train.epochs" in err["message"] and "int" in err["message"]
+
+    @pytest.mark.parametrize("doc", [
+        {"hcma": {"tokens": 0}}, {"faae": {"attn_dim": 0}},
+        {"backbone": {"output_dim": -1}}, {"train": {"learning_rate": float("nan")}}],
+        ids=["hcma_tokens_0", "faae_attn_dim_0", "backbone_output_dim_-1", "learning_rate_nan"])
+    def test_train_config_out_of_range_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                       doc):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))  # NaN is written as JSON's NaN token
+        data = str(tmp_path / "data")
+        synth_generate(SynthConfig(count=2, height=16, width=16, seed=1), out_dir=data)
+
+        def no_read(path):
+            raise AssertionError(f"train read {path} before rejecting its config")
+        monkeypatch.setattr(cli, "read_ppm", no_read)
+        capsys.readouterr()
+        code = cli.main(["train", "--config", str(cfg), "--data", data,
+                         "--out", str(tmp_path / "m.sfcl")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["type"] == "ConfigError"
+        (section, fields), = doc.items()
+        assert f"'{section}.{next(iter(fields))}'" in err["message"]
 
     def test_train_bad_sbcm_width_fails_before_reading_images(self, tmp_path, capsys,
                                                               monkeypatch):

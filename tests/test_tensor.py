@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import oracles
 from sfcl import tensor as T
@@ -126,6 +127,105 @@ class TestConv3d:
         want = np.zeros_like(x.data)
         np.add.at(want, (slice(None), slice(None), idx), dxw)
         assert np.array_equal(x.grad, want)
+
+
+def _whole_einsum(name, x, w, stride, pad):
+    """The unchunked forward: one einsum over the padded input's windows."""
+    if name == "conv3d":
+        win = sliding_window_view(x, w.shape[2], axis=2)[:, :, ::stride]
+        return np.einsum("ncdhwk,ock->nodhw", win, w, optimize=True)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(xp, w.shape[-2:], axis=(2, 3))[:, :, ::stride, ::stride]
+    if name == "conv2d":
+        return np.einsum("ncpqij,ocij->nopq", win, w, optimize=True)
+    return np.einsum("ncpqij,cij->ncpq", win, w, optimize=True)
+
+
+def _conv_call(name, x, w, stride, pad):
+    if name == "conv3d":
+        return T.conv3d(Tensor(x), Tensor(w), stride_d=stride).data
+    op = T.conv2d if name == "conv2d" else T.depthwise_conv2d
+    return op(Tensor(x), Tensor(w), stride, pad).data
+
+
+class TestConvChunks:
+    """Chunked forwards against one einsum over the whole batch."""
+
+    @staticmethod
+    def _case(rng, name, dtype, stride, pad, out_side=8):
+        """x, w and the window bytes per output row; outputs are out_side wide."""
+        if name == "conv3d":  # rows run along H; the depth stride plays `stride`
+            x, w = rng.standard_normal((5, 3, 20, out_side, out_side)), rng.standard_normal((4, 3, 5))
+            depth = (20 - 5) // stride + 1
+            row = 3 * depth * out_side * 5
+        else:
+            side = (out_side - 1) * stride + 3 - 2 * pad
+            x = rng.standard_normal((5, 6, side, side))
+            w = rng.standard_normal((7, 6, 3, 3) if name == "conv2d" else (6, 3, 3))
+            row = 6 * 9 * out_side
+        itemsize = np.dtype(dtype).itemsize
+        return x.astype(dtype), w.astype(dtype), row * itemsize
+
+    @pytest.mark.parametrize("plan", ["default", "one_sample", "two_samples", "rows"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name,pad", [("conv2d", 0), ("conv2d", 1), ("depthwise_conv2d", 0),
+                                          ("depthwise_conv2d", 1), ("conv3d", 0)])
+    def test_bit_equal_to_whole_einsum(self, rng, monkeypatch, name, pad, dtype, stride, plan):
+        x, w, row = self._case(rng, name, dtype, stride, pad)
+        # every chunk's product has a multiple of 16 output columns per channel
+        budget, chunks = {"default": (T._CONV_CHUNK, 1), "one_sample": (8 * row, 5),
+                          "two_samples": (16 * row, 3), "rows": (4 * row, 10)}[plan]
+        monkeypatch.setattr(T, "_CONV_CHUNK", budget)
+        monkeypatch.setattr(T, "_CONV_ROWS", 1)
+        assert len(T._chunks(5, 8, row, budget, 1)) == chunks  # the plan named
+        want = _whole_einsum(name, x, w, stride, pad)
+        with T.no_grad():
+            got = _conv_call(name, x, w, stride, pad)
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+        assert got.strides == want.strides  # channel-major, as einsum lays it out
+
+    # Chunks of other column counts (here 11 wide, 11 or 33 per channel): BLAS
+    # may round a chunk's product apart from the same entries of the whole
+    # one. Measured at most 6.9e-7 (float32) and 1.2e-15 (float64) of max
+    # |out| over 40 random shapes and four plans.
+    ODD_TOL = {np.float32: 2e-6, np.float64: 1e-14}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", ["conv2d", "depthwise_conv2d"])
+    def test_other_widths_within_rounding(self, rng, monkeypatch, name, dtype):
+        x, w, row = self._case(rng, name, dtype, 1, 0, out_side=11)
+        want = _whole_einsum(name, x, w, 1, 0)
+        for budget in (11 * row, 3 * row):
+            monkeypatch.setattr(T, "_CONV_CHUNK", budget)
+            monkeypatch.setattr(T, "_CONV_ROWS", 1)
+            with T.no_grad():
+                got = _conv_call(name, x, w, 1, 0)
+            assert np.abs(got - want).max() <= self.ODD_TOL[dtype] * np.abs(want).max()
+            assert got.strides == want.strides
+
+    def test_rows_gradients_vs_finite_differences(self, rng, monkeypatch):
+        monkeypatch.setattr(T, "_CONV_CHUNK", 1)
+        monkeypatch.setattr(T, "_CONV_ROWS", 2)
+        x = rng.standard_normal((2, 2, 7, 7))
+        w = rng.standard_normal((3, 2, 3, 3))
+        assert T.grad_check(lambda t: T.conv2d(t, Tensor(w), 2, 1), Tensor(x)) < 1e-6
+        assert T.grad_check(lambda t: T.conv2d(Tensor(x), t, 2, 1), Tensor(w)) < 1e-6
+
+    def test_peak_memory_bound(self, rng):
+        # the stem's second conv at a 1024 px input; one einsum over the whole
+        # padded input held 82 MB beyond its 6 MB output
+        x = Tensor(rng.standard_normal((1, 16, 512, 512)).astype(np.float32))
+        w = Tensor(rng.standard_normal((24, 16, 3, 3)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                out = T.conv2d(x, w, 2, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.data.nbytes + 3 * T._CONV_CHUNK
 
 
 def _conv2d_dx_nchw_taps(g, w, x_shape, stride, pad):
@@ -504,6 +604,19 @@ class TestBatchnorm:
         xhat = centered * (1.0 / np.sqrt(var + 1e-5)).reshape(bshape)
         want = gamma.reshape(bshape) * xhat + beta.reshape(bshape)
         assert got.dtype == dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_without_graph_bit_equal_to_recorded(self, rng, mode, dtype):
+        # without a graph the output is written into xhat's buffer
+        x = (rng.standard_normal((6, 4, 5, 7)) * 3 + 1).astype(dtype)
+        gamma, beta, rm = (rng.standard_normal(4).astype(dtype) for _ in range(3))
+        rv = rng.uniform(0.5, 2.0, 4).astype(dtype)
+        outs = [T.batchnorm(Tensor(x), Tensor(gamma, requires_grad=graph), Tensor(beta),
+                            rm.copy(), rv.copy(), mode=mode) for graph in (False, True)]
+        assert not outs[0].requires_grad and outs[1].requires_grad
+        assert np.array_equal(outs[0].data, outs[1].data)
+        assert outs[0].data.strides == outs[1].data.strides
 
     @staticmethod
     def _backward_by_chain_rule(x, gamma, g, eps=1e-5):

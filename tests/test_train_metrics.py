@@ -159,6 +159,22 @@ class TestTraining:
         for k in states[0]:
             assert np.array_equal(states[0][k], states[1][k]), k
 
+    def test_desk_state_same_under_small_conv_chunks(self, monkeypatch):
+        # 64 KiB chunks: several samples, single samples and row chunks of
+        # one sample across the desk model's convolutions
+        samples = synth_generate(SynthConfig(count=20, height=64, width=64, seed=4,
+                                             recipe="mixed"))
+        runs = []
+        for budget in (T._CONV_CHUNK, 1 << 16):
+            monkeypatch.setattr(T, "_CONV_CHUNK", budget)
+            model = Detector(desk_detector_config())
+            log = train(model, samples, TrainConfig(epochs=2))
+            runs.append((log, {k: v.copy() for k, v in model.state_arrays().items()}))
+        (log0, state0), (log1, state1) = runs
+        assert log0 == log1
+        for k in state0:
+            assert np.array_equal(state0[k], state1[k]), k
+
     def test_loss_decreases_on_toy_data(self):
         samples = _tiny_samples(10, 3)
         model = Detector(desk_detector_config(init_seed=2))
