@@ -567,9 +567,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
 # windows it contracts into one array, so a forward holds one chunk's copy,
 # never the whole input's.
 _CONV_CHUNK = 1 << 22
-# Fewest output rows in a chunk of one sample's rows: fewer rows would make
-# each product a sliver.
-_CONV_ROWS = 8
 
 
 def _pair(v) -> tuple:
@@ -584,6 +581,8 @@ def _channel_major(shape: tuple, dtype) -> np.ndarray:
 
     Later ops keep that layout, and reductions such as batchnorm's sum in
     memory order, so a chunked forward must write into this same layout.
+    For N = 1 the element order is the same either way, but einsum returns
+    C-ordered strides, and so does this.
     """
     if shape[0] == 1:
         return np.empty(shape, dtype=dtype)
@@ -611,7 +610,8 @@ def _windows(x: np.ndarray, rows: slice, ho: int, geometry: tuple) -> np.ndarray
     lo = r0 * sh - ph
     hi = h + ph if r1 == ho else (r1 - 1) * sh - ph + kh
     xp = np.zeros((n, c, hi - lo, w + 2 * pw), dtype=x.dtype)
-    a, b = max(lo, 0), min(hi, h)
+    a = max(lo, 0)
+    b = max(a, min(hi, h))  # a chunk that lies wholly in the padding copies nothing
     xp[:, :, a - lo:b - lo, pw:pw + w] = x[:, :, a:b]
     return sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
 
@@ -641,7 +641,7 @@ def conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
     _, _, sh, sw, ph, pw = geo
 
     out = _channel_major((n, co, ho, wo), xd.dtype)
-    for ns, rs in _chunks(n, ho, ci * kh * kw * wo * xd.itemsize, _CONV_CHUNK, _CONV_ROWS):
+    for ns, rs in _chunks(n, ho, ci * kh * kw * wo * xd.itemsize, _CONV_CHUNK, 1):
         np.einsum("ncpqij,ocij->nopq", _windows(xd[ns], rs, ho, geo), w.data,
                   out=out[ns, :, rs], optimize=True)
 
@@ -687,7 +687,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
     _, _, sh, sw, ph, pw = geo
 
     out = _channel_major((n, c, ho, wo), xd.dtype)
-    for ns, rs in _chunks(n, ho, c * kh * kw * wo * xd.itemsize, _CONV_CHUNK, _CONV_ROWS):
+    for ns, rs in _chunks(n, ho, c * kh * kw * wo * xd.itemsize, _CONV_CHUNK, 1):
         np.einsum("ncpqij,cij->ncpq", _windows(xd[ns], rs, ho, geo), w.data,
                   out=out[ns, :, rs], optimize=True)
 
@@ -736,7 +736,7 @@ def conv3d(x: Tensor, w: Tensor, stride_d: int = 1) -> Tensor:
         return sliding_window_view(xd[ns, :, :, rs], kd, axis=2)[:, :, ::stride_d]
 
     out = _channel_major((n, co, do, h, wd_sp), xd.dtype)
-    for ns, rs in _chunks(n, h, ci * do * wd_sp * kd * xd.itemsize, _CONV_CHUNK, _CONV_ROWS):
+    for ns, rs in _chunks(n, h, ci * do * wd_sp * kd * xd.itemsize, _CONV_CHUNK, 1):
         np.einsum("ncdhwk,ock->nodhw", windows(ns, rs), wd, out=out[ns, :, :, rs], optimize=True)
 
     def bw(g):

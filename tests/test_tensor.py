@@ -171,14 +171,15 @@ class TestConvChunks:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("name,pad", [("conv2d", 0), ("conv2d", 1), ("depthwise_conv2d", 0),
                                           ("depthwise_conv2d", 1), ("conv3d", 0)])
-    def test_bit_equal_to_whole_einsum(self, rng, monkeypatch, name, pad, dtype, stride, plan):
+    @pytest.mark.parametrize("n", [5, 1])
+    def test_bit_equal_to_whole_einsum(self, rng, monkeypatch, n, name, pad, dtype, stride, plan):
         x, w, row = self._case(rng, name, dtype, stride, pad)
+        x = x[:n].copy()
         # every chunk's product has a multiple of 16 output columns per channel
-        budget, chunks = {"default": (T._CONV_CHUNK, 1), "one_sample": (8 * row, 5),
-                          "two_samples": (16 * row, 3), "rows": (4 * row, 10)}[plan]
+        budget, chunks = {"default": (T._CONV_CHUNK, 1), "one_sample": (8 * row, n),
+                          "two_samples": (16 * row, (n + 1) // 2), "rows": (4 * row, 2 * n)}[plan]
         monkeypatch.setattr(T, "_CONV_CHUNK", budget)
-        monkeypatch.setattr(T, "_CONV_ROWS", 1)
-        assert len(T._chunks(5, 8, row, budget, 1)) == chunks  # the plan named
+        assert len(T._chunks(n, 8, row, budget, 1)) == chunks  # the plan named
         want = _whole_einsum(name, x, w, stride, pad)
         with T.no_grad():
             got = _conv_call(name, x, w, stride, pad)
@@ -199,15 +200,26 @@ class TestConvChunks:
         want = _whole_einsum(name, x, w, 1, 0)
         for budget in (11 * row, 3 * row):
             monkeypatch.setattr(T, "_CONV_CHUNK", budget)
-            monkeypatch.setattr(T, "_CONV_ROWS", 1)
             with T.no_grad():
                 got = _conv_call(name, x, w, 1, 0)
             assert np.abs(got - want).max() <= self.ODD_TOL[dtype] * np.abs(want).max()
             assert got.strides == want.strides
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", ["conv2d", "depthwise_conv2d"])
+    def test_rows_wholly_in_the_padding(self, rng, monkeypatch, name, dtype):
+        # pad 11 gives 4-row chunks that read only padding, above and below x
+        x = rng.standard_normal((2, 3, 6, 12)).astype(dtype)
+        w = rng.standard_normal((4, 3, 3, 3) if name == "conv2d" else (3, 3, 3)).astype(dtype)
+        monkeypatch.setattr(T, "_CONV_CHUNK", 4 * 3 * 9 * 32 * x.itemsize)
+        want = _whole_einsum(name, x, w, 1, 11)
+        with T.no_grad():
+            got = _conv_call(name, x, w, 1, 11)
+        assert got.shape == (2, 4 if name == "conv2d" else 3, 26, 32)
+        assert np.array_equal(got, want)
+
     def test_rows_gradients_vs_finite_differences(self, rng, monkeypatch):
         monkeypatch.setattr(T, "_CONV_CHUNK", 1)
-        monkeypatch.setattr(T, "_CONV_ROWS", 2)
         x = rng.standard_normal((2, 2, 7, 7))
         w = rng.standard_normal((3, 2, 3, 3))
         assert T.grad_check(lambda t: T.conv2d(t, Tensor(w), 2, 1), Tensor(x)) < 1e-6
