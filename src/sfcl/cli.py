@@ -91,6 +91,17 @@ def _list_images(path) -> List[str]:
     raise InputError(f"no such file or directory: {path}")
 
 
+def _seed(text: str) -> int:
+    """argparse type of the seed flags: a non-negative integer, as numpy needs."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _parse_bbox(text: Optional[str]) -> Optional[BoundingBox]:
     if text is None:
         return None
@@ -280,7 +291,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-sida-gate", dest="use_sida_gate", action="store_false",
                    default=DetectorConfig.use_sida_gate, help="disable the descriptor gate")
     p.add_argument("--precision", choices=PRECISIONS, default=DetectorConfig.precision)
-    p.add_argument("--init-seed", type=int, default=DetectorConfig.init_seed,
+    p.add_argument("--init-seed", type=_seed, default=DetectorConfig.init_seed,
                    help="parameter init seed")
 
 
@@ -293,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--count", type=int)
     p.add_argument("--size", type=int, help="square image size in pixels")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--recipe", choices=RECIPES)
     p.set_defaults(fn=_cmd_dataset_synth)
 
@@ -339,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of one module")
     p.add_argument("--module", required=True, choices=sorted(CHECKS))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=_cmd_gradcheck)
 
     return parser

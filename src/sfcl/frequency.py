@@ -161,15 +161,6 @@ def _ycbcr_rows(rgb: np.ndarray, out: np.ndarray, rg: np.ndarray, bg: np.ndarray
     np.clip(out, 0.0, 255.0, out=out)
 
 
-def rgb_to_ycbcr(img: PlanarImage) -> PlanarImage:
-    """Full-range BT.601 conversion; outputs clamped to [0, 255]."""
-    if img.color_space != "rgb":
-        raise UsageError(f"rgb_to_ycbcr expects an RGB image, got {img.color_space!r}")
-    out = np.empty((3, img.height, img.width))
-    _ycbcr_rows(img.pixels, out, *np.empty((2, img.height, img.width)))
-    return PlanarImage(out, "ycbcr")
-
-
 def crop_to_grid(img: PlanarImage, bbox: Optional[BoundingBox] = None) -> PlanarImage:
     """Clamp the bbox to the image, then trim bottom/right to multiples of 8.
 

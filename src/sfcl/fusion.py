@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -73,15 +73,6 @@ class Faae(Layer):
         m_query = T.concat([T.matmul(tf, self.q_f.w), T.matmul(ts, self.q_s.w)], axis=2)
         m_key = T.concat([T.matmul(tf, self.k_f.w), T.matmul(ts, self.k_s.w)], axis=2)
         return m_query, m_key, 1.0 / math.sqrt(2 * self.cfg.attn_dim)
-
-    def attention(self, x_f: Tensor, x_s: Tensor) -> Tensor:
-        """The [N, HW, HW] map ``forward`` applies, built unfused: rows sum to 1.
-
-        A diagnostic: ``forward`` never builds it.
-        """
-        m_query, m_key, scale = self._query_key(x_f, x_s)
-        scores = T.mul(T.matmul(m_query, T.transpose(m_key, (0, 2, 1))), scale)
-        return T.softmax_rows(scores)
 
     def forward(self, x_f: Tensor, x_s: Tensor, mode: str = "infer") -> Tensor:
         """Residual injection of gated frequency context: returns Y_S, same shape as X_S."""
@@ -149,7 +140,7 @@ class Hcma(Layer):
         return T.reshape(T.transpose(T.reshape(x, (n, h, t, dh)), (0, 2, 1, 3)), (n, t * dh * h))
 
     def fuse(self, s: Tensor, f: Tensor, d: Tensor, mode: str = "infer",
-             use_gate: bool = True, internals: Optional[Dict[str, Tensor]] = None) -> Tensor:
+             use_gate: bool = True) -> Tensor:
         """S [N,spatial_dim], F [N,freq_dim], D [N,2304] -> fused [N,embed_dim]."""
         if d.shape[-1] != DESCRIPTOR_LENGTH:
             raise ShapeError(f"descriptor length must be {DESCRIPTOR_LENGTH}, got {d.shape}")
@@ -167,16 +158,9 @@ class Hcma(Layer):
         a_flat = self._merge_heads(attended, n)
         res = self.bn.forward(self.residual.forward(s1), mode)
         a_res = T.add(a_flat, res)
-        if use_gate:
-            g = T.sigmoid(self.gate.forward(d))
-            fused = T.mul(a_res, g)
-        else:
-            g = None
-            fused = a_res
-        if internals is not None:
-            internals.update(attended=a_flat,
-                             values=self._merge_heads(v, n), gate=g, residual_sum=a_res)
-        return fused
+        if not use_gate:
+            return a_res
+        return T.mul(a_res, T.sigmoid(self.gate.forward(d)))
 
 
 class Classifier(Layer):

@@ -27,17 +27,6 @@ _CHUNK_BYTES = 1 << 18  # per moment work buffer
 
 
 @dataclass
-class DifferentialMap:
-    """Adjacent-difference tensor for one mode.
-
-    Shapes: row -> [C,64,rows-1,cols]; col -> [C,64,rows,cols-1];
-    intra -> [C,64,rows,cols] with band 63 identically zero (padding).
-    """
-    mode: str
-    values: np.ndarray
-
-
-@dataclass
 class SidaDescriptor:
     """2304 global differential statistics.
 
@@ -56,34 +45,6 @@ class SidaDescriptor:
     def position(stat: str, mode: str, channel: int, band: int) -> int:
         """Flat index of one (stat, mode, channel, band) entry."""
         return ((STATS.index(stat) * len(MODES) + MODES.index(mode)) * 3 + channel) * BANDS + band
-
-
-def _require_grid(spectra: BlockSpectra, mode: str) -> None:
-    """The one grid check: the descriptor needs 2x2 blocks (16x16 pixels)."""
-    if mode not in MODES:
-        raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
-    blocks = {"row": spectra.block_rows, "col": spectra.block_cols}.get(mode, 2)
-    if blocks < 2:
-        raise InputError(f"{mode} differentials need at least 2 block {mode}s, got {blocks}; "
-                         "the descriptor needs a 2x2 block grid (16x16 pixels)")
-
-
-def block_differential(spectra: BlockSpectra, mode: str) -> DifferentialMap:
-    """Adjacent differences along the axis selected by `mode`.
-
-    The intra mode differences along the band axis (63 results) and zero-pads
-    back to 64 bands so all modes share the band layout.
-    """
-    _require_grid(spectra, mode)
-    x = spectra.coefficients
-    if mode == "row":
-        return DifferentialMap("row", x[:, :, 1:, :] - x[:, :, :-1, :])
-    if mode == "col":
-        return DifferentialMap("col", x[:, :, :, 1:] - x[:, :, :, :-1])
-    out = np.empty_like(x)
-    np.subtract(x[:, 1:], x[:, :-1], out=out[:, :-1])
-    out[:, -1] = 0.0
-    return DifferentialMap("intra", out)
 
 
 def _abs_moments(c: int, b: int, length: int, fill) -> Dict[str, np.ndarray]:
@@ -121,24 +82,28 @@ def _abs_moments(c: int, b: int, length: int, fill) -> Dict[str, np.ndarray]:
     return {"mean": mean, "std": std, "skew": skew, "kurt": kurt}
 
 
-def moment_stats(dmap: DifferentialMap) -> Dict[str, np.ndarray]:
-    """Population mean/std/skew/kurt of |values| over the spatial block dims.
+def moment_stats(values: np.ndarray) -> Dict[str, np.ndarray]:
+    """Population mean/std/skew/kurt of |values| over the trailing dims.
 
-    Returns one [C, bands] array per statistic. Skewness is m3/std^3 and
+    ``values`` is [C, bands, ...], such as one mode's difference map;
+    returns one [C, bands] array per statistic. Skewness is m3/std^3 and
     kurtosis m4/std^4 (not excess); both are defined as 0 wherever std falls
-    below 1e-12, so constant regions stay NaN-free. dmap.values is never
+    below 1e-12, so constant regions stay NaN-free. ``values`` is never
     written.
     """
-    c, b = dmap.values.shape[:2]
-    rows = dmap.values.reshape(c * b, -1)
+    c, b = values.shape[:2]
+    rows = values.reshape(c * b, -1)
     return _abs_moments(c, b, rows.shape[1],
                         lambda lo, hi, a: np.abs(rows[lo:hi], out=a))
 
 
 def _differential_moments(spectra: BlockSpectra, mode: str) -> Dict[str, np.ndarray]:
-    """moment_stats(block_differential(spectra, mode)) without the full map:
+    """``moment_stats`` of one mode's difference map without the full map:
     each chunk's differences are formed straight in the work buffer."""
-    _require_grid(spectra, mode)
+    blocks = {"row": spectra.block_rows, "col": spectra.block_cols}.get(mode, 2)
+    if blocks < 2:
+        raise InputError(f"{mode} differentials need at least 2 block {mode}s, got {blocks}; "
+                         "the descriptor needs a 2x2 block grid (16x16 pixels)")
     x = spectra.coefficients
     c, b = x.shape[:2]
     if mode == "intra":
@@ -178,8 +143,8 @@ def assemble_descriptor(stats_by_mode: Dict[str, Dict[str, np.ndarray]]) -> Sida
 def sida_descriptor(spectra: BlockSpectra) -> SidaDescriptor:
     """Descriptor straight from block spectra (grid must be at least 2x2).
 
-    Equal bit for bit to assembling ``moment_stats(block_differential(...))``
-    over the modes, but no full-size difference map is built.
+    Equal bit for bit to assembling ``moment_stats`` of each mode's whole
+    difference map, but no full-size difference map is built.
     """
     return assemble_descriptor({mode: _differential_moments(spectra, mode) for mode in MODES})
 

@@ -17,7 +17,7 @@ Design constraints honoured throughout:
 * convolution uses the cross-correlation convention (no kernel flip),
 * ``attention`` never builds its [B, M, L] score map: each chunk it
   computes always covers whole score rows, so every row's softmax runs on
-  complete rows, as the unfused ``matmul``/``softmax_rows`` chain's does,
+  complete rows, as an unfused matmul, softmax, matmul chain's does,
 * the convolution forwards never hold their whole input's padded copy or
   window copy, only one chunk's (``_CONV_CHUNK``).
 """
@@ -127,34 +127,26 @@ class Tensor:
         return matmul(self, other)
 
 
-class Tape:
-    """Topologically ordered record of the operations behind one result.
-
-    ``nodes[i]``'s parents always appear earlier in ``nodes`` (or are leaves),
-    so a single reverse sweep performs backpropagation.
-    """
-
-    def __init__(self, nodes: list):
-        self.nodes = nodes
-
-    @classmethod
-    def trace(cls, root: Tensor) -> "Tape":
-        order: list = []
-        seen: set = set()
-        stack: list = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in seen:
-                    stack.append((parent, False))
-        return cls(order)
+def _trace(root: Tensor) -> list:
+    """The nodes behind ``root`` in topological order: each node's parents
+    that require grad come earlier (or are leaves), so a single reverse
+    sweep performs backpropagation."""
+    order: list = []
+    seen: set = set()
+    stack: list = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                stack.append((parent, False))
+    return order
 
 
 def backward(loss: Tensor) -> None:
@@ -167,13 +159,13 @@ def backward(loss: Tensor) -> None:
         raise UsageError(f"backward expects a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise UsageError("loss does not depend on any tensor with requires_grad")
-    tape = Tape.trace(loss)
-    for node in tape.nodes:
+    nodes = _trace(loss)
+    for node in nodes:
         if node._consumed:
             raise UsageError("backward was already run on this graph; rerun the forward pass first")
 
     grads: dict = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(tape.nodes):
+    for node in reversed(nodes):
         g = grads.pop(id(node), None)
         if g is None:
             continue
@@ -454,7 +446,7 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return _node(y, "linear", parents, bw)
 
 
-def _softmax_last_(s: np.ndarray, op: str) -> np.ndarray:
+def _softmax_last_(s: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of ``s``, computed in place and returned.
 
     Row max, subtract, exp, sum, divide. The max propagates NaN, so a NaN
@@ -462,22 +454,11 @@ def _softmax_last_(s: np.ndarray, op: str) -> np.ndarray:
     """
     top = s.max(axis=-1, keepdims=True)
     if np.isnan(top).any():
-        raise NumericError(f"{op} received NaN input")
+        raise NumericError("attention received NaN input")
     s -= top
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
     return s
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-stable softmax along the last axis (rows for the 2D case)."""
-    y = _softmax_last_(x.data.copy(), "softmax_rows")
-
-    def bw(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
-
-    return _node(y, "softmax_rows", (x,), bw)
 
 
 def _chunks(n: int, rows: int, row_size: int, budget: int, min_rows: int,
@@ -509,11 +490,11 @@ _ATTN_ROWS = 64
 def _attention_probs(q: np.ndarray, kt: np.ndarray, scale: np.ndarray) -> np.ndarray:
     s = np.matmul(q, kt)
     s *= scale
-    return _softmax_last_(s, "attention")
+    return _softmax_last_(s)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
-    """``softmax_rows(q @ kᵀ · scale) @ v`` without the [B, M, L] score map.
+    """Row softmax of ``q @ kᵀ · scale``, times v, without the [B, M, L] score map.
 
     q: [B, M, d], k: [B, L, d], v: [B, L, dv] -> [B, M, dv]. The forward
     runs the unfused chain's steps on one chunk of whole score rows at a

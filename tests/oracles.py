@@ -1,7 +1,8 @@
 """Independent reference implementations used to verify the library.
 
 Everything here is deliberately naive (explicit loops, two-pass compensated
-summation, hardcoded tables) and shares no code with the package internals.
+summation, hardcoded tables, whole-array numpy subtraction in
+``differential_maps``) and shares no code with the package internals.
 The one exception is ``high_band_energy``, a test measure of the synthetic
 data computed over the shipped ``restructure``.
 """
@@ -112,11 +113,16 @@ def softmax_rows_mp(x, dps=50):
     return out
 
 
+# _COS[u][x] = cos((2x + 1) u pi / 16): the 8-point DCT-II basis, in floats
+_COS = [[math.cos((2 * x + 1) * u * math.pi / 16) for x in range(8)] for u in range(8)]
+
+
 def dct8_double_sum(block, level_shift=True):
     """O(64^2) textbook orthonormal 2D DCT-II of one 8x8 block."""
     b = np.asarray(block, dtype=np.float64)
     if level_shift:
         b = b - 128.0
+    rows = b.tolist()
     out = np.zeros((8, 8))
     for u in range(8):
         for v in range(8):
@@ -124,10 +130,9 @@ def dct8_double_sum(block, level_shift=True):
             sv = math.sqrt(1.0 / 8) if v == 0 else math.sqrt(2.0 / 8)
             acc = 0.0
             for x in range(8):
-                cu = math.cos((2 * x + 1) * u * math.pi / 16)
+                cu = _COS[u][x]
                 for y in range(8):
-                    cv = math.cos((2 * y + 1) * v * math.pi / 16)
-                    acc += b[x, y] * cu * cv
+                    acc += rows[x][y] * cu * _COS[v][y]
             out[u, v] = su * sv * acc
     return out
 
@@ -144,6 +149,16 @@ def two_pass_moments(values):
     if std < 1e-12:
         return mean, std, 0.0, 0.0
     return mean, std, m3 / std ** 3, m4 / std ** 4
+
+
+def differential_maps(spectra):
+    """Whole row, column and band-axis difference maps of [C, 64, rows, cols]
+    spectra; the band map's band 63 is zero padding."""
+    intra = np.zeros_like(spectra)
+    intra[:, :63] = spectra[:, 1:] - spectra[:, :-1]
+    return {"row": spectra[:, :, 1:, :] - spectra[:, :, :-1, :],
+            "col": spectra[:, :, :, 1:] - spectra[:, :, :, :-1],
+            "intra": intra}
 
 
 def sida_pipeline_loops(pixels_rgb):
@@ -175,14 +190,7 @@ def sida_pipeline_loops(pixels_rgb):
                 for band in range(64):
                     spectra[ch, band, bi, bj] = flat[ZIGZAG_FLAT_TABLE[band]]
 
-    maps = {
-        "row": spectra[:, :, 1:, :] - spectra[:, :, :-1, :],
-        "col": spectra[:, :, :, 1:] - spectra[:, :, :, :-1],
-    }
-    intra = np.zeros((3, 64, br, bc))
-    intra[:, :63] = spectra[:, 1:] - spectra[:, :-1]
-    maps["intra"] = intra
-
+    maps = differential_maps(spectra)
     descriptor = []
     for stat_index in range(4):
         for mode in ("row", "col", "intra"):

@@ -13,6 +13,7 @@ import numpy as np
 import oracles
 from sfcl import cli
 from sfcl import frequency as fq
+from sfcl import tensor as T
 from sfcl.checks import CHECKS, GRAD_TOL, tiny_detector_config
 from sfcl.frequency import PlanarImage
 from sfcl.fusion import Faae, FaaeConfig, Hcma, HcmaConfig
@@ -20,7 +21,7 @@ from sfcl.metrics import metric_accuracy, metric_auc
 from sfcl.model import Detector, desk_detector_config
 from sfcl.modelfile import load_model, save_model
 from sfcl.runconfig import run_config_from_dict
-from sfcl.sida import DifferentialMap, moment_stats, sida_from_image
+from sfcl.sida import moment_stats, sida_from_image
 from sfcl.synth import SynthConfig, make_pair, synth_generate
 from sfcl.tensor import Tensor
 from sfcl.train import TrainConfig, evaluate, train
@@ -112,7 +113,7 @@ def test_c04_sida_shape_invariance():
 def test_c05_moment_statistics():
     rng = np.random.default_rng(105)
     values = rng.standard_normal(100000) * 3 + 1
-    stats = moment_stats(DifferentialMap("row", values.reshape(1, 1, -1, 1)))
+    stats = moment_stats(values.reshape(1, 1, -1))
     mean, std, skew, kurt = oracles.two_pass_moments(values)
     rel = max(
         abs(stats["mean"][0, 0] - mean) / max(1.0, abs(mean)),
@@ -120,7 +121,7 @@ def test_c05_moment_statistics():
         abs(stats["skew"][0, 0] - skew) / max(1.0, abs(skew)),
         abs(stats["kurt"][0, 0] - kurt) / max(1.0, abs(kurt)),
     )
-    small = moment_stats(DifferentialMap("row", np.array([1.0, 2.0, 3.0]).reshape(1, 1, 3, 1)))
+    small = moment_stats(np.array([[[1.0, 2.0, 3.0]]]))
     trio = (abs(small["mean"][0, 0] - 2.0) < 1e-4
             and abs(small["std"][0, 0] - 0.81650) < 1e-4
             and abs(small["skew"][0, 0]) < 1e-4
@@ -146,8 +147,10 @@ def test_c07_attention_contracts():
     worst_row = 0.0
     for _ in range(100):
         hb, wb = rng.integers(2, 4, size=2)
-        alpha = faae.attention(Tensor(rng.standard_normal((1, 192, hb, wb))),
-                               Tensor(rng.standard_normal((1, 64, hb, wb))))
+        q, k, scale = faae._query_key(Tensor(rng.standard_normal((1, 192, hb, wb))),
+                                      Tensor(rng.standard_normal((1, 64, hb, wb))))
+        # forward's kernel on forward's tokens; identity values return the map
+        alpha = T.attention(q, k, Tensor(np.eye(hb * wb)[None]), scale)
         worst_row = max(worst_row, np.abs(alpha.data.sum(axis=-1) - 1).max())
         assert (alpha.data >= 0).all()
 
@@ -158,10 +161,11 @@ def test_c07_attention_contracts():
     identity_dev = np.abs(closed.forward(x_f, x_s, mode="infer").data - x_s.data).max()
 
     hcma = Hcma(HcmaConfig(embed_dim=16, heads=2, tokens=1), 12, 10, rng, np.float64)
-    internals = {}
-    hcma.fuse(Tensor(rng.standard_normal((2, 12))), Tensor(rng.standard_normal((2, 10))),
-              Tensor(rng.standard_normal((2, 2304))), mode="infer", internals=internals)
-    degenerate = np.array_equal(internals["attended"].data, internals["values"].data)
+    hcma.residual.w.data[...] = 0.0  # the ungated output is then the attention output
+    s, f, d = (Tensor(rng.standard_normal((2, width))) for width in (12, 10, 2304))
+    attended = hcma.fuse(s, f, d, mode="infer", use_gate=False).data
+    values = T.matmul(T.reshape(hcma.proj_f.forward(f), (2, 1, 16)), hcma.w_v.w).data
+    degenerate = np.array_equal(attended, values.reshape(2, 16))
 
     ok = worst_row < 1e-6 and identity_dev < 1e-6 and degenerate
     _report(7, "attention contracts", ok,

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from sfcl import frequency as fq
-from sfcl.errors import InputError, UsageError
+from sfcl.errors import InputError
 from sfcl.frequency import BoundingBox, PlanarImage
 from sfcl.model import extract_frontend
 from sfcl.sida import sida_descriptor
@@ -24,17 +24,25 @@ def _transposed(px):
     return px.transpose(0, 2, 1).copy().transpose(0, 2, 1)
 
 
+def _to_ycbcr(px):
+    """[3, H, W] planes through the strip kernel ``restructure`` runs, as one strip."""
+    px = np.asarray(px)
+    out = np.empty((3,) + px.shape[1:])
+    fq._ycbcr_rows(px, out, *np.empty((2,) + px.shape[1:]))
+    return out
+
+
 class TestColorConversion:
     def test_black(self):
-        out = fq.rgb_to_ycbcr(_solid(0, 0, 0)).pixels[:, 0, 0]
+        out = _to_ycbcr(_solid(0, 0, 0).pixels)[:, 0, 0]
         assert np.array_equal(out, [0.0, 128.0, 128.0])
 
     def test_white(self):
-        out = fq.rgb_to_ycbcr(_solid(255, 255, 255)).pixels[:, 0, 0]
+        out = _to_ycbcr(_solid(255, 255, 255).pixels)[:, 0, 0]
         assert np.array_equal(out, [255.0, 128.0, 128.0])
 
     def test_pure_red_with_clamping(self):
-        y, cb, cr = fq.rgb_to_ycbcr(_solid(255, 0, 0)).pixels[:, 0, 0]
+        y, cb, cr = _to_ycbcr(_solid(255, 0, 0).pixels)[:, 0, 0]
         assert abs(y - 76.245) < 1e-9
         assert abs(cb - 84.97232) < 1e-9
         assert cr == 255.0  # 255.5 clamped
@@ -45,7 +53,7 @@ class TestColorConversion:
                            [-0.168736, -0.331264, 0.5],
                            [0.5, -0.418688, -0.081312]])
         want = (matrix @ px.reshape(3, -1) + np.array([0.0, 128.0, 128.0])[:, None])
-        got = fq.rgb_to_ycbcr(PlanarImage(px, "rgb")).pixels.reshape(3, -1)
+        got = _to_ycbcr(px).reshape(3, -1)
         assert np.abs(got - np.clip(want, 0, 255)).max() < 1e-10
 
     def test_equals_whole_plane_formula_bit_for_bit(self, rng):
@@ -56,17 +64,12 @@ class TestColorConversion:
                                  128.0 + 0.5 * bg - 0.168736 * rg,
                                  128.0 + 0.5 * rg - 0.081312 * bg]), 0.0, 255.0)
         for planes in (px, _transposed(px)):
-            assert np.array_equal(fq.rgb_to_ycbcr(PlanarImage(planes, "rgb")).pixels, want)
+            assert np.array_equal(_to_ycbcr(planes), want)
 
     def test_gray_axis_is_exact(self):
-        out = fq.rgb_to_ycbcr(_solid(77, 77, 77)).pixels
+        out = _to_ycbcr(_solid(77, 77, 77).pixels)
         assert (out[0] == 77.0).all()
         assert (out[1] == 128.0).all() and (out[2] == 128.0).all()
-
-    def test_wrong_tag_rejected(self):
-        img = PlanarImage(np.zeros((3, 8, 8)), "ycbcr")
-        with pytest.raises(UsageError):
-            fq.rgb_to_ycbcr(img)
 
 
 class TestCropToGrid:
@@ -168,7 +171,7 @@ class TestRestructure:
     def test_dc_band_matches_direct_dc_oracle(self, rng):
         img = PlanarImage(rng.uniform(0, 255, (3, 24, 16)), "rgb")
         spectra = fq.restructure(img)
-        ycc = fq.rgb_to_ycbcr(img).pixels
+        ycc = _to_ycbcr(img.pixels)
         for ch in range(3):
             for bi in range(3):
                 for bj in range(2):
@@ -180,7 +183,7 @@ class TestRestructure:
         img = PlanarImage(rng.uniform(0, 255, (3, 64, 80)), "rgb")
         spectra = fq.restructure(img, BoundingBox(13, 5, 56, 40))
         assert spectra.coefficients.shape == (3, 64, 5, 7)
-        ycc = fq.rgb_to_ycbcr(img).pixels[:, 5:45, 13:69]
+        ycc = _to_ycbcr(img.pixels)[:, 5:45, 13:69]
         for ch in range(3):
             for bi in range(5):
                 for bj in range(7):
@@ -192,19 +195,18 @@ class TestRestructure:
         img = PlanarImage(rng.uniform(20, 235, (3, 32, 40)), "rgb")
         spectra = fq.restructure(img)
         ycc = fq.reconstruct(spectra).pixels
-        want = fq.rgb_to_ycbcr(img).pixels
+        want = _to_ycbcr(img.pixels)
         assert np.abs(ycc - want).max() < 1e-8
 
 
 def _ycbcr_then_whole_channel_matmul(img, bbox=None):
-    """rgb_to_ycbcr of the crop, then one DCT+zigzag matmul per channel."""
-    ycc = fq.crop_to_grid(img, bbox)
-    if ycc.color_space == "rgb":
-        ycc = fq.rgb_to_ycbcr(ycc)
-    br, bc = ycc.height // 8, ycc.width // 8
+    """YCbCr of the whole crop, then one DCT+zigzag matmul per channel."""
+    crop = fq.crop_to_grid(img, bbox)
+    ycc = _to_ycbcr(crop.pixels) if crop.color_space == "rgb" else crop.pixels
+    br, bc = crop.height // 8, crop.width // 8
     out = np.empty((3, 64, br, bc))
     for ch in range(3):
-        blocks = np.ascontiguousarray(ycc.pixels[ch].reshape(br, 8, bc, 8).transpose(0, 2, 1, 3)) - 128.0
+        blocks = np.ascontiguousarray(ycc[ch].reshape(br, 8, bc, 8).transpose(0, 2, 1, 3)) - 128.0
         out[ch] = (fq._DCT_ZIGZAG @ blocks.reshape(br * bc, 64).T).reshape(64, br, bc)
     return out
 

@@ -5,10 +5,12 @@ import hashlib
 import json
 import os
 import struct
+import types
 
 import numpy as np
 import pytest
 
+import sfcl
 from sfcl import cli, runconfig
 from sfcl.errors import ConfigError, FormatError, InputError, UsageError
 from sfcl.frequency import PlanarImage
@@ -294,6 +296,31 @@ class TestConfigKeys:
             assert getattr(owner, name) == cls()
 
 
+class TestPublicNames:
+    """Every name ``import sfcl`` exports; a change here changes the public API."""
+
+    NAMES = [
+        "Adam", "BackboneConfig", "BlockSpectra", "BoundingBox", "Classifier", "CnnF",
+        "CnnfConfig", "ConfigError", "DESCRIPTOR_LENGTH", "Detector", "DetectorConfig",
+        "Faae", "FaaeConfig", "FormatError", "FrontendBatch", "Hcma", "HcmaConfig",
+        "InputError", "NumericError", "PlanarImage", "RunConfig", "Sample", "Sbcm",
+        "SbcmConfig", "SfclError", "ShapeError", "SidaDescriptor", "SpatialBackbone",
+        "SynthConfig", "Tensor", "TrainConfig", "UsageError", "adam_step",
+        "assemble_descriptor", "backward", "bce_loss", "crop_to_grid", "evaluate",
+        "extract_frontend", "flatten_bands", "grad_check", "load_model", "load_run_config",
+        "make_pair", "metric_accuracy", "metric_auc", "moment_stats", "reconstruct",
+        "restructure", "run_config_from_dict", "save_model", "sida_descriptor",
+        "sida_from_image", "synth_generate", "train",
+    ]
+
+    def test_exports_match_snapshot(self):
+        # submodules become attributes as they are imported, so they are not counted
+        got = sorted(name for name, value in vars(sfcl).items()
+                     if not name.startswith("_") and not isinstance(value, types.ModuleType))
+        assert got == self.NAMES
+        assert len(got) == 55
+
+
 def _tiny_config(tmp_path):
     doc = {
         "backbone": {"stem_widths": [3, 4, 6, 8], "deep_widths": [8, 10], "output_dim": 16},
@@ -423,6 +450,23 @@ class TestCli:
         assert cli.main(["gradcheck", "--module", "hcma", "--seed", "7"]) == 0
         out = json.loads(capsys.readouterr().out.strip())
         assert out["max_rel_err"] < out["tolerance"]
+
+    @pytest.mark.parametrize("argv", [
+        ["dataset-synth", "--out", "{tmp}/d", "--seed", "-1"],
+        ["train", "--data", "{tmp}/d", "--out", "{tmp}/m.sfcl", "--init-seed", "-1"],
+        ["eval", "--data", "{tmp}/d", "--model", "{tmp}/m.sfcl", "--init-seed", "-1"],
+        ["gradcheck", "--module", "hcma", "--seed", "-1"],
+        ["gradcheck", "--module", "hcma", "--seed", "x"],
+    ], ids=["dataset-synth", "train", "eval", "gradcheck", "gradcheck_not_int"])
+    def test_bad_seed_is_usage_error(self, tmp_path, capsys, argv):
+        code = cli.main([a.format(tmp=tmp_path) for a in argv])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["type"] == "UsageError"
+        assert "seed" in err["message"] and "non-negative integer" in err["message"]
+        assert not os.listdir(tmp_path)
 
     def test_gradcheck_unknown_module(self, capsys):
         assert cli.main(["gradcheck", "--module", "nonexistent"]) == 1

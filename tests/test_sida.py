@@ -9,80 +9,52 @@ import oracles
 from sfcl import sida
 from sfcl.errors import InputError, UsageError
 from sfcl.frequency import BlockSpectra, PlanarImage
-from sfcl.sida import (DESCRIPTOR_LENGTH, DifferentialMap, SidaDescriptor,
-                       assemble_descriptor, block_differential, moment_stats,
-                       sida_descriptor, sida_from_image)
+from sfcl.sida import (DESCRIPTOR_LENGTH, SidaDescriptor, assemble_descriptor,
+                       moment_stats, sida_descriptor, sida_from_image)
 
 
 def _spectra(rng, rows=4, cols=5):
     return BlockSpectra(rng.standard_normal((3, 64, rows, cols)) * 20)
 
 
-class TestBlockDifferential:
-    def test_constant_spectra_give_zero_maps(self):
-        spectra = BlockSpectra(np.full((3, 64, 4, 4), 7.0))
-        for mode in ("row", "col"):
-            assert (block_differential(spectra, mode).values == 0).all()
-        intra = block_differential(spectra, "intra").values
-        assert (intra[:, :63] == 0).all() and (intra[:, 63] == 0).all()
-
-    def test_band_ramp_intra(self):
-        coeffs = np.tile(np.arange(64.0)[None, :, None, None], (3, 1, 2, 2))
-        intra = block_differential(BlockSpectra(coeffs), "intra").values
-        assert (intra[:, :63] == 1.0).all()
-        assert (intra[:, 63] == 0.0).all()
-
-    def test_shapes(self, rng):
-        spectra = _spectra(rng)
-        assert block_differential(spectra, "row").values.shape == (3, 64, 3, 5)
-        assert block_differential(spectra, "col").values.shape == (3, 64, 4, 4)
-        assert block_differential(spectra, "intra").values.shape == (3, 64, 4, 5)
+class TestDifferentialMapsOracle:
+    """The whole maps that the streamed moments are checked against."""
 
     def test_against_loop_oracle_exact(self, rng):
-        spectra = _spectra(rng, 3, 3)
-        x = spectra.coefficients
-        row = block_differential(spectra, "row").values
+        x = _spectra(rng, 3, 3).coefficients
+        maps = oracles.differential_maps(x)
+        assert {m: v.shape for m, v in maps.items()} == {
+            "row": (3, 64, 2, 3), "col": (3, 64, 3, 2), "intra": (3, 64, 3, 3)}
         for c in range(3):
             for b in range(64):
                 for m in range(2):
                     for n in range(3):
-                        assert row[c, b, m, n] == x[c, b, m + 1, n] - x[c, b, m, n]
-        intra = block_differential(spectra, "intra").values
+                        assert maps["row"][c, b, m, n] == x[c, b, m + 1, n] - x[c, b, m, n]
+                        assert maps["col"][c, b, n, m] == x[c, b, n, m + 1] - x[c, b, n, m]
         for c in range(3):
             for l in range(63):
-                assert (intra[c, l] == x[c, l + 1] - x[c, l]).all()
-
-    def test_small_grid_errors_name_the_mode(self):
-        spectra = BlockSpectra(np.zeros((3, 64, 1, 4)))
-        with pytest.raises(InputError, match="row"):
-            block_differential(spectra, "row")
-        spectra = BlockSpectra(np.zeros((3, 64, 4, 1)))
-        with pytest.raises(InputError, match="col"):
-            block_differential(spectra, "col")
-
-    def test_unknown_mode(self, rng):
-        with pytest.raises(UsageError):
-            block_differential(_spectra(rng), "diagonal")
+                assert (maps["intra"][c, l] == x[c, l + 1] - x[c, l]).all()
+        assert (maps["intra"][:, 63] == 0).all()
 
 
 class TestMomentStats:
     def test_one_two_three(self):
         values = np.zeros((1, 1, 3, 1))
         values[0, 0, :, 0] = [1.0, 2.0, 3.0]
-        stats = moment_stats(DifferentialMap("row", values))
+        stats = moment_stats(values)
         assert abs(stats["mean"][0, 0] - 2.0) < 1e-12
         assert abs(stats["std"][0, 0] - 0.816496580927726) < 1e-12
         assert abs(stats["skew"][0, 0]) < 1e-12
         assert abs(stats["kurt"][0, 0] - 1.5) < 1e-12
 
     def test_degenerate_guard(self):
-        stats = moment_stats(DifferentialMap("row", np.zeros((3, 64, 4, 4))))
+        stats = moment_stats(np.zeros((3, 64, 4, 4)))
         for name in ("mean", "std", "skew", "kurt"):
             assert (stats[name] == 0).all()
 
     def test_against_two_pass_oracle(self, rng):
         values = rng.standard_normal((2, 3, 11, 7)) * 5
-        stats = moment_stats(DifferentialMap("row", values))
+        stats = moment_stats(values)
         for c in range(2):
             for b in range(3):
                 mean, std, skew, kurt = oracles.two_pass_moments(values[c, b])
@@ -93,7 +65,7 @@ class TestMomentStats:
 
     def test_large_offset_against_two_pass_oracle(self, rng):
         values = 1e4 + rng.standard_normal((1, 2, 40, 30))
-        stats = moment_stats(DifferentialMap("row", values))
+        stats = moment_stats(values)
         for b in range(2):
             want = oracles.two_pass_moments(values[0, b])
             for name, w in zip(("mean", "std", "skew", "kurt"), want):
@@ -102,21 +74,21 @@ class TestMomentStats:
     def test_leaves_values_unchanged(self, rng):
         values = rng.standard_normal((3, 64, 5, 6))
         before = values.copy()
-        moment_stats(DifferentialMap("col", values))
+        moment_stats(values)
         assert np.array_equal(values, before)
 
     def test_row_chunking_does_not_change_results(self, rng, monkeypatch):
-        dmap = DifferentialMap("row", rng.standard_normal((3, 64, 5, 7)) * 9)
-        whole = moment_stats(dmap)
+        values = rng.standard_normal((3, 64, 5, 7)) * 9
+        whole = moment_stats(values)
         monkeypatch.setattr(sida, "_CHUNK_BYTES", 5 * 5 * 7 * 8)  # 192 rows in chunks of 5
-        chunked = moment_stats(dmap)
+        chunked = moment_stats(values)
         for name in sida.STATS:
             assert np.array_equal(chunked[name], whole[name])
 
     def test_uses_absolute_values(self):
         values = np.zeros((1, 1, 2, 1))
         values[0, 0, :, 0] = [-3.0, 3.0]
-        stats = moment_stats(DifferentialMap("col", values))
+        stats = moment_stats(values)
         assert stats["mean"][0, 0] == 3.0
         assert stats["std"][0, 0] == 0.0
 
@@ -206,8 +178,8 @@ class TestSidaFromImage:
         if transposed:
             px = px.transpose(0, 2, 1).copy().transpose(0, 2, 1)
         spectra = restructure(PlanarImage(px, "rgb"), bbox and BoundingBox(*bbox))
-        want = assemble_descriptor(
-            {mode: moment_stats(block_differential(spectra, mode)) for mode in sida.MODES})
+        maps = oracles.differential_maps(spectra.coefficients)
+        want = assemble_descriptor({mode: moment_stats(m) for mode, m in maps.items()})
         assert np.array_equal(sida_descriptor(spectra).values, want.values)
 
     def test_small_grid_errors_name_the_mode(self):
@@ -226,9 +198,9 @@ class TestSidaFromImage:
         from sfcl.frequency import restructure
         s0 = restructure(PlanarImage(base, "rgb"))
         s1 = restructure(PlanarImage(base + 10.0, "rgb"))
+        m0, m1 = (oracles.differential_maps(s.coefficients) for s in (s0, s1))
         for mode in ("row", "col"):
-            a = block_differential(s0, mode).values
-            b = block_differential(s1, mode).values
+            a, b = m0[mode], m1[mode]
             assert np.abs(a - b).max() < 1e-10  # float rounding only; shift cancels
 
     def test_block_permutation_changes_only_statistics(self, rng):

@@ -49,18 +49,27 @@ def _faae(rng, dtype=np.float64, **kw):
     return Faae(FaaeConfig(**kw), 64, rng, dtype)
 
 
+def _faae_map(faae, x_f, x_s):
+    """The [N, HW, HW] map ``forward`` applies: its query and key tokens
+    through the shipped attention kernel, with identity values."""
+    q, k, scale = faae._query_key(x_f, x_s)
+    n, hw = q.shape[:2]
+    eye = Tensor(np.broadcast_to(np.eye(hw, dtype=q.data.dtype), (n, hw, hw)))
+    return T.attention(q, k, eye, scale)
+
+
 class TestFaae:
     def test_zero_inputs_uniform_attention(self, rng):
         faae = _faae(rng)
-        alpha = faae.attention(Tensor(np.zeros((1, 192, 2, 2))),
-                               Tensor(np.zeros((1, 64, 2, 2))))
+        alpha = _faae_map(faae, Tensor(np.zeros((1, 192, 2, 2))),
+                          Tensor(np.zeros((1, 64, 2, 2))))
         assert alpha.shape == (1, 4, 4)
         assert np.allclose(alpha.data, 0.25, atol=1e-15)
 
     def test_rows_sum_to_one(self, rng):
         faae = _faae(rng)
-        alpha = faae.attention(Tensor(rng.standard_normal((2, 192, 3, 3))),
-                               Tensor(rng.standard_normal((2, 64, 3, 3))))
+        alpha = _faae_map(faae, Tensor(rng.standard_normal((2, 192, 3, 3))),
+                          Tensor(rng.standard_normal((2, 64, 3, 3))))
         assert np.abs(alpha.data.sum(axis=-1) - 1).max() < 1e-6
         assert (alpha.data >= 0).all()
 
@@ -68,7 +77,7 @@ class TestFaae:
         faae = _faae(rng, attn_dim=5)
         x_f = rng.standard_normal((1, 192, 2, 2))
         x_s = rng.standard_normal((1, 64, 2, 2))
-        alpha = faae.attention(Tensor(x_f), Tensor(x_s)).data[0]
+        alpha = _faae_map(faae, Tensor(x_f), Tensor(x_s)).data[0]
 
         tf = x_f[0].reshape(192, 4).T
         ts = x_s[0].reshape(64, 4).T
@@ -93,7 +102,7 @@ class TestFaae:
         faae = _faae(rng, zero_init_out=False)
         x_s = Tensor(rng.standard_normal((1, 64, 2, 2)))
         x_f = Tensor(rng.standard_normal((1, 192, 2, 2)))
-        alpha = faae.attention(x_f, x_s)
+        alpha = _faae_map(faae, x_f, x_s)
         # recompute the context path by hand with the 0.5 gate factor
         tf = x_f.data[0].reshape(192, 4).T
         values = tf @ faae.v_f.w.data
@@ -110,7 +119,7 @@ class TestFaae:
         faae = _faae(rng, dtype, zero_init_out=False)
         x_s = Tensor(rng.standard_normal((3, 64, 4, 4)).astype(dtype))
         x_f = Tensor(rng.standard_normal((3, 192, 4, 4)).astype(dtype))
-        alpha = faae.attention(x_f, x_s)
+        alpha = _faae_map(faae, x_f, x_s)
         # forward's context path, with the map applied by matmul
         n, cs, h, w = x_s.shape
         values = T.matmul(_tokens(x_f), faae.v_f.w)
@@ -128,8 +137,8 @@ class TestFaae:
     def test_spatial_mismatch_rejected(self, rng):
         faae = _faae(rng)
         with pytest.raises(ShapeError):
-            faae.attention(Tensor(np.zeros((1, 192, 2, 2))),
-                           Tensor(np.zeros((1, 64, 3, 3))))
+            faae.forward(Tensor(np.zeros((1, 192, 2, 2))),
+                         Tensor(np.zeros((1, 64, 3, 3))))
 
 
 class TestHcma:
@@ -138,6 +147,11 @@ class TestHcma:
         cfg.update(kw)
         return Hcma(HcmaConfig(**cfg), 12, 10, rng, np.float64)
 
+    @staticmethod
+    def _fuse_both(hcma, s, f, d):
+        """fuse's output with the gate on and off; off, it is the residual sum."""
+        return [hcma.fuse(s, f, d, mode="infer", use_gate=g).data for g in (True, False)]
+
     def test_zero_gate_weights_halve_the_residual_sum(self, rng):
         hcma = self._small(rng)
         hcma.gate.w.data[...] = 0.0
@@ -145,10 +159,8 @@ class TestHcma:
         s = Tensor(rng.standard_normal((2, 12)))
         f = Tensor(rng.standard_normal((2, 10)))
         d = Tensor(rng.standard_normal((2, 2304)))
-        internals = {}
-        fused = hcma.fuse(s, f, d, mode="infer", internals=internals)
-        assert np.allclose(internals["gate"].data, 0.5, atol=1e-15)
-        assert np.allclose(fused.data, 0.5 * internals["residual_sum"].data, atol=1e-15)
+        fused, residual_sum = self._fuse_both(hcma, s, f, d)
+        assert np.allclose(fused, 0.5 * residual_sum, atol=1e-15)
 
     def test_zero_descriptor_gate_depends_only_on_bias(self, rng):
         hcma = self._small(rng)
@@ -156,30 +168,26 @@ class TestHcma:
         d = Tensor(np.zeros((2, 2304)))
         want = 1 / (1 + np.exp(-hcma.gate.b.data))
         for _ in range(2):
-            internals = {}
-            hcma.fuse(Tensor(rng.standard_normal((2, 12))),
-                      Tensor(rng.standard_normal((2, 10))), d,
-                      mode="infer", internals=internals)
-            assert np.allclose(internals["gate"].data, want[None, :], atol=1e-12)
+            fused, residual_sum = self._fuse_both(hcma, Tensor(rng.standard_normal((2, 12))),
+                                                  Tensor(rng.standard_normal((2, 10))), d)
+            assert np.allclose(fused / residual_sum, want[None, :], atol=1e-12)
 
     def test_single_token_attention_equals_values_exactly(self, rng):
         hcma = self._small(rng, tokens=1)
-        internals = {}
-        hcma.fuse(Tensor(rng.standard_normal((2, 12))),
-                  Tensor(rng.standard_normal((2, 10))),
-                  Tensor(rng.standard_normal((2, 2304))),
-                  mode="infer", internals=internals)
-        assert np.array_equal(internals["attended"].data, internals["values"].data)
+        hcma.residual.w.data[...] = 0.0  # the ungated output is then the attention output
+        s = Tensor(rng.standard_normal((2, 12)))
+        f = Tensor(rng.standard_normal((2, 10)))
+        _, attended = self._fuse_both(hcma, s, f, Tensor(rng.standard_normal((2, 2304))))
+        values = T.matmul(T.reshape(hcma.proj_f.forward(f), (2, 1, 16)), hcma.w_v.w)
+        assert np.array_equal(attended, values.data.reshape(2, 16))
 
     def test_output_length_and_gate_range(self, rng):
         hcma = self._small(rng)
-        internals = {}
-        fused = hcma.fuse(Tensor(rng.standard_normal((3, 12))),
-                          Tensor(rng.standard_normal((3, 10))),
-                          Tensor(rng.standard_normal((3, 2304)) * 0.2),
-                          mode="infer", internals=internals)
+        fused, residual_sum = self._fuse_both(hcma, Tensor(rng.standard_normal((3, 12))),
+                                              Tensor(rng.standard_normal((3, 10))),
+                                              Tensor(rng.standard_normal((3, 2304)) * 0.2))
         assert fused.shape == (3, 16)
-        g = internals["gate"].data
+        g = fused / residual_sum
         assert (g > 0).all() and (g < 1).all()
 
     def test_descriptor_length_enforced(self, rng):

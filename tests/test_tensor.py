@@ -336,40 +336,60 @@ def test_backward_skips_input_gradient_nobody_reads(rng, name):
         assert np.array_equal(with_dx, without_dx)
 
 
+def _softmax(x):
+    """Row softmax of x [B, M, L] as ``attention`` computes it: identity keys
+    pass the scores through and identity values return the probabilities."""
+    x = np.asarray(x)
+    b, _, l = x.shape
+    eye = Tensor(np.broadcast_to(np.eye(l, dtype=x.dtype), (b, l, l)))
+    return T.attention(Tensor(x), eye, eye, 1.0).data
+
+
 class TestSoftmax:
     def test_symmetry(self):
-        out = T.softmax_rows(Tensor([[0.0, 0.0, 0.0]]))
-        assert np.allclose(out.data, 1.0 / 3, atol=1e-15)
+        out = _softmax([[[0.0, 0.0, 0.0]]])
+        assert np.allclose(out, 1.0 / 3, atol=1e-15)
 
     def test_no_overflow(self):
-        out = T.softmax_rows(Tensor([[1000.0, 1000.0]]))
-        assert np.allclose(out.data, 0.5, atol=1e-15)
+        out = _softmax([[[1000.0, 1000.0]]])
+        assert np.allclose(out, 0.5, atol=1e-15)
 
     def test_against_high_precision(self, rng):
         x = rng.standard_normal((3, 8)) * 10
         want = oracles.softmax_rows_mp(x)
-        got = T.softmax_rows(Tensor(x)).data
+        got = _softmax(x[None])[0]
         assert np.abs((got - want) / want).max() < 1e-10
 
     def test_rows_sum_to_one(self, rng):
-        out = T.softmax_rows(Tensor(rng.standard_normal((20, 13)) * 50)).data
+        out = _softmax(rng.standard_normal((1, 20, 13)) * 50)
         assert np.abs(out.sum(axis=-1) - 1).max() < 1e-6
         assert (out >= 0).all()
 
     def test_nan_rejected(self):
         with pytest.raises(NumericError):
-            T.softmax_rows(Tensor([[np.nan, 0.0]]))
+            _softmax([[[np.nan, 0.0]]])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_equal_to_out_of_place_expression(self, rng, dtype):
         x = (rng.standard_normal((3, 17, 29)) * 5).astype(dtype)
         e = np.exp(x - x.max(axis=-1, keepdims=True))
-        assert np.array_equal(T.softmax_rows(Tensor(x)).data, e / e.sum(axis=-1, keepdims=True))
+        assert np.array_equal(_softmax(x), e / e.sum(axis=-1, keepdims=True))
+
+
+def _softmax_rows(x):
+    """The unfused chain's softmax node: row softmax with its own backward."""
+    y = T._softmax_last_(x.data.copy())
+
+    def bw(g):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        return (y * (g - dot),)
+
+    return T._node(y, "softmax_rows", (x,), bw)
 
 
 def _attention_chain(q, k, v, scale):
     """The unfused op chain ``attention`` replaces."""
-    return T.matmul(T.softmax_rows(T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), scale)), v)
+    return T.matmul(_softmax_rows(T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), scale)), v)
 
 
 def _attention_run(op, arrays, proj):
@@ -702,9 +722,8 @@ class TestBackward:
         y = T.mul(x, 2.0)
         z = T.add(y, x)
         loss = T.reduce_sum(z)
-        tape = T.Tape.trace(loss)
         seen = set()
-        for node in tape.nodes:
+        for node in T._trace(loss):
             for parent in node._parents:
                 if parent.requires_grad:
                     assert parent.is_leaf or id(parent) in seen
@@ -755,8 +774,10 @@ class TestGradCheck:
 
     def test_softmax_of_matmul(self, rng):
         w = Tensor(rng.standard_normal((4, 4)))
-        err = T.grad_check(lambda x: T.softmax_rows(T.matmul(x, w)),
-                           Tensor(rng.standard_normal((4, 4))), h=1e-5)
+        eye = Tensor(np.eye(4)[None])  # attention with identity keys and values is the softmax
+        err = T.grad_check(
+            lambda x: T.attention(T.reshape(T.matmul(x, w), (1, 4, 4)), eye, eye, 1.0),
+            Tensor(rng.standard_normal((4, 4))), h=1e-5)
         assert err < 1e-4
 
     def test_single_precision_rejected(self):
@@ -779,7 +800,6 @@ def _op_cases(rng):
         "conv2d": (lambda x: T.conv2d(x, Tensor(w2), (2, 2), (1, 1)), (2, 3, 5, 5)),
         "conv3d": (lambda x: T.conv3d(x, Tensor(w3), 2), (2, 3, 7, 2, 2)),
         "depthwise": (lambda x: T.depthwise_conv2d(x, Tensor(wd), (1, 1), (1, 1)), (2, 3, 4, 4)),
-        "softmax": (lambda x: T.softmax_rows(x), (3, 5)),
         "mean": (lambda x: T.reduce_mean(x, axes=(1,)), (3, 4)),
         "sum": (lambda x: T.reduce_sum(x, axes=(0,)), (3, 4)),
         "reshape": (lambda x: T.reshape(x, (4, 3)), (3, 4)),
