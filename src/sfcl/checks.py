@@ -1,11 +1,14 @@
 """Finite-difference verification of every trainable stage.
 
-Each check builds a small double-precision instance of one stage, compares
-backpropagated gradients against central finite differences (inputs
-exhaustively, parameters by random coordinate sampling), and returns the
-maximum relative error. Batch norm runs in train mode, where it normalizes
-by the statistics of the batch alone: the running statistics it updates are
-never read, so every evaluation of the objective sees the same function.
+Each check builds a small double-precision instance of one stage and returns
+the maximum relative error between backpropagated gradients and central
+finite differences, all measured by ``tensor.fd_error``: inputs exhaustively
+(``tensor.grad_check``), parameters by random coordinate sampling
+(``param_grad_errors``). The seven stage checks share one body,
+``_stage_check``; only their builders differ. Batch norm runs in train mode,
+where it normalizes by the statistics of the batch alone: the running
+statistics it updates are never read, so every evaluation of the objective
+sees the same function.
 """
 
 from __future__ import annotations
@@ -27,175 +30,19 @@ GRAD_TOL = 1e-4
 _H = 1e-5
 
 
-def _rel_err(analytic: float, numeric: float) -> float:
-    return abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-
-
 def param_grad_errors(loss_fn: Callable[[], Tensor],
                       params: Sequence[Tuple[str, Tensor]],
                       rng: np.random.Generator,
                       coords: int = 10, h: float = _H) -> float:
     """Compare d(loss)/d(theta) against central differences on sampled coords."""
-    for _, p in params:
-        p.grad = None
-    T.backward(loss_fn())
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-                for _, p in params]
-
-    sizes = np.array([p.size for _, p in params])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    tensors = [p for _, p in params]
+    offsets = np.concatenate([[0], np.cumsum([p.size for p in tensors])])
     total = int(offsets[-1])
-    picks = rng.choice(total, size=min(coords, total), replace=False)
-
-    worst = 0.0
-    for flat in picks:
+    picks = []
+    for flat in rng.choice(total, size=min(coords, total), replace=False):
         which = int(np.searchsorted(offsets, flat, side="right") - 1)
-        j = int(flat - offsets[which])
-        p = params[which][1]
-        orig = p.data.flat[j]
-        p.data.flat[j] = orig + h
-        up = loss_fn().item()
-        p.data.flat[j] = orig - h
-        down = loss_fn().item()
-        p.data.flat[j] = orig
-        worst = max(worst, _rel_err(float(analytic[which].flat[j]), (up - down) / (2 * h)))
-    return worst
-
-
-def _projected(out: Tensor, r: np.ndarray) -> Tensor:
-    return T.reduce_sum(T.mul(out, Tensor(r)))
-
-
-def _with_mate(x: Tensor, mate: np.ndarray) -> Tensor:
-    """Stack the variable sample with a fixed one so BN sees a batch of 2."""
-    return T.concat([T.reshape(x, (1,) + x.shape), Tensor(mate)], axis=0)
-
-
-def check_sbcm(seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    module = Sbcm(SbcmConfig(widths=(3, 6, 8, 64)), rng, np.float64)
-    mate = rng.standard_normal((1, 3, 64, 2, 2))
-    x0 = rng.standard_normal((3, 64, 2, 2))
-
-    def f(x):
-        return module.forward(_with_mate(x, mate), mode="train")
-
-    err = T.grad_check(f, Tensor(x0), h=_H)
-    r = np.random.default_rng(seed + 1).standard_normal((2, 64, 3, 2, 2))
-    loss_fn = lambda: _projected(f(Tensor(x0)), r)
-    return max(err, param_grad_errors(loss_fn, module.trainables("sbcm"), rng))
-
-
-def check_cnnf(seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    module = CnnF(CnnfConfig(widths=(192, 8, 8, 16), strides=(2, 2, 1)), rng, np.float64)
-    mate = rng.standard_normal((1, 192, 2, 2))
-    x0 = rng.standard_normal((192, 2, 2))
-
-    def f(x):
-        return module.forward(_with_mate(x, mate), mode="train")
-
-    err = T.grad_check(f, Tensor(x0), h=_H)
-    r = np.random.default_rng(seed + 1).standard_normal((2, 16))
-    loss_fn = lambda: _projected(f(Tensor(x0)), r)
-    return max(err, param_grad_errors(loss_fn, module.trainables("cnnf"), rng))
-
-
-def check_backbone(seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    cfg = BackboneConfig(stem_widths=(3, 4, 6, 8), deep_widths=(8, 10), output_dim=24)
-    module = SpatialBackbone(cfg, rng, np.float64)
-    mate = rng.uniform(0, 1, (1, 3, 16, 16))
-    x0 = rng.uniform(0, 1, (3, 16, 16))
-
-    def f(x):
-        batch = _with_mate(x, mate)
-        shallow = module.stem_forward(batch, mode="train")
-        return module.deep_forward(shallow, mode="train")
-
-    err = T.grad_check(f, Tensor(x0), h=_H)
-    r = np.random.default_rng(seed + 1).standard_normal((2, 24))
-    loss_fn = lambda: _projected(f(Tensor(x0)), r)
-    return max(err, param_grad_errors(loss_fn, module.trainables("backbone"), rng))
-
-
-def check_faae(seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    cfg = FaaeConfig(zero_init_out=False)
-    module = Faae(cfg, 64, rng, np.float64)
-    xf0 = rng.standard_normal((192, 2, 2))
-    xs0 = rng.standard_normal((64, 2, 2))
-    xf_mate = rng.standard_normal((1, 192, 2, 2))
-    xs_mate = rng.standard_normal((1, 64, 2, 2))
-
-    def f_freq(x):
-        return module.forward(_with_mate(x, xf_mate), Tensor(np.stack([xs0, xs_mate[0]])),
-                              mode="train")
-
-    def f_spatial(x):
-        return module.forward(Tensor(np.stack([xf0, xf_mate[0]])), _with_mate(x, xs_mate),
-                              mode="train")
-
-    err = max(T.grad_check(f_freq, Tensor(xf0), h=_H),
-              T.grad_check(f_spatial, Tensor(xs0), h=_H))
-    r = np.random.default_rng(seed + 1).standard_normal((2, 64, 2, 2))
-    loss_fn = lambda: _projected(f_freq(Tensor(xf0)), r)
-    return max(err, param_grad_errors(loss_fn, module.trainables("faae"), rng))
-
-
-def check_hcma(seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    cfg = HcmaConfig(embed_dim=64, heads=4, tokens=4)
-    module = Hcma(cfg, 24, 32, rng, np.float64)
-    s0 = rng.standard_normal(24)
-    f0 = rng.standard_normal(32)
-    s_mate = rng.standard_normal((1, 24))
-    f_mate = rng.standard_normal((1, 32))
-    d = Tensor(rng.standard_normal((2, 2304)))
-
-    def f_s(x):
-        return module.fuse(_with_mate(x, s_mate), Tensor(np.stack([f0, f_mate[0]])), d,
-                           mode="train")
-
-    def f_f(x):
-        return module.fuse(Tensor(np.stack([s0, s_mate[0]])), _with_mate(x, f_mate), d,
-                           mode="train")
-
-    err = max(T.grad_check(f_s, Tensor(s0), h=_H), T.grad_check(f_f, Tensor(f0), h=_H))
-    r = np.random.default_rng(seed + 1).standard_normal((2, 64))
-    loss_fn = lambda: _projected(f_s(Tensor(s0)), r)
-    return max(err, param_grad_errors(loss_fn, module.trainables("hcma"), rng, coords=20))
-
-
-def check_gate(seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    gate = LinearLayer(2304, 8, rng, np.float64)
-    d0 = rng.standard_normal((1, 2304))
-
-    def f(x):
-        return T.sigmoid(gate.forward(x))
-
-    err = T.grad_check(f, Tensor(d0), h=_H)
-    r = np.random.default_rng(seed + 1).standard_normal((1, 8))
-    loss_fn = lambda: _projected(f(Tensor(d0)), r)
-    return max(err, param_grad_errors(loss_fn, gate.trainables("gate"), rng))
-
-
-def check_classifier(seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    module = Classifier(16, rng, np.float64)
-    x0 = rng.standard_normal(16)
-    mate = rng.standard_normal((1, 16))
-    labels = np.array([1.0, 0.0])
-
-    def f(x):
-        logits, _ = module.forward(_with_mate(x, mate))
-        return T.bce_with_logits(logits, labels)
-
-    err = T.grad_check(f, Tensor(x0), h=_H)
-    r = np.random.default_rng(seed + 1).standard_normal(2)
-    loss_fn = lambda: _projected(f(Tensor(x0)), r)
-    return max(err, param_grad_errors(loss_fn, module.trainables("classifier"), rng))
+        picks.append((which, int(flat - offsets[which])))
+    return T.fd_error(loss_fn, tensors, picks, h)
 
 
 def tiny_detector_config(seed: int = 0, **overrides) -> DetectorConfig:
@@ -213,6 +60,94 @@ def tiny_detector_config(seed: int = 0, **overrides) -> DetectorConfig:
     return DetectorConfig(**base)
 
 
+def _batch(x: Tensor, mate) -> Tensor:
+    if mate is None:
+        return x
+    return T.concat([T.reshape(x, (1,) + x.shape), Tensor(mate[None])], axis=0)
+
+
+def _stage_check(build: Callable, coords: int = 10) -> Callable[[int], float]:
+    """Grad-check each input with the others held, then sample the parameters.
+
+    ``build(rng)`` returns (module, forward, [(sample, mate), ...]); forward
+    takes one batch per input. A mate is the fixed second sample that lets
+    batch norm see a batch of 2, or None when the sample is the whole batch.
+    """
+    def check(seed: int = 0) -> float:
+        rng = np.random.default_rng(seed)
+        module, forward, pairs = build(rng)
+
+        def varying(i):
+            return lambda x: forward(*(_batch(x if k == i else Tensor(sample), mate)
+                                       for k, (sample, mate) in enumerate(pairs)))
+
+        err = max(T.grad_check(varying(i), Tensor(sample), h=_H)
+                  for i, (sample, _) in enumerate(pairs))
+        f, x = varying(0), Tensor(pairs[0][0])
+        r = Tensor(np.random.default_rng(seed + 1).standard_normal(f(x).shape))
+        loss_fn = lambda: T.reduce_sum(T.mul(f(x), r))
+        return max(err, param_grad_errors(loss_fn, module.trainables(), rng, coords))
+
+    return check
+
+
+def _sbcm(rng):
+    module = Sbcm(tiny_detector_config().sbcm, rng, np.float64)
+    mate, x = rng.standard_normal((2, 3, 64, 2, 2))
+    return module, lambda b: module.forward(b, mode="train"), [(x, mate)]
+
+
+def _cnnf(rng):
+    module = CnnF(tiny_detector_config().cnnf, rng, np.float64)
+    mate, x = rng.standard_normal((2, 192, 2, 2))
+    return module, lambda b: module.forward(b, mode="train"), [(x, mate)]
+
+
+def _backbone(rng):
+    module = SpatialBackbone(tiny_detector_config().backbone, rng, np.float64)
+    mate, x = rng.uniform(0, 1, (2, 3, 16, 16))
+
+    def forward(b):
+        return module.deep_forward(module.stem_forward(b, mode="train"), mode="train")
+
+    return module, forward, [(x, mate)]
+
+
+def _faae(rng):
+    module = Faae(FaaeConfig(zero_init_out=False), 64, rng, np.float64)
+    xf = rng.standard_normal((192, 2, 2))
+    xs = rng.standard_normal((64, 2, 2))
+    xf_mate = rng.standard_normal((192, 2, 2))
+    xs_mate = rng.standard_normal((64, 2, 2))
+    return (module, lambda bf, bs: module.forward(bf, bs, mode="train"),
+            [(xf, xf_mate), (xs, xs_mate)])
+
+
+def _hcma(rng):
+    module = Hcma(HcmaConfig(embed_dim=64, heads=4, tokens=4), 24, 32, rng, np.float64)
+    s = rng.standard_normal(24)
+    f = rng.standard_normal(32)
+    s_mate = rng.standard_normal(24)
+    f_mate = rng.standard_normal(32)
+    d = Tensor(rng.standard_normal((2, 2304)))
+    return (module, lambda bs, bf: module.fuse(bs, bf, d, mode="train"),
+            [(s, s_mate), (f, f_mate)])
+
+
+def _gate(rng):
+    gate = LinearLayer(2304, 8, rng, np.float64)
+    d = rng.standard_normal((1, 2304))
+    return gate, lambda b: T.sigmoid(gate.forward(b)), [(d, None)]
+
+
+def _classifier(rng):
+    module = Classifier(16, rng, np.float64)
+    x, mate = rng.standard_normal((2, 16))
+    labels = np.array([1.0, 0.0])
+    return (module, lambda b: T.bce_with_logits(module.forward(b)[0], labels),
+            [(x, mate)])
+
+
 def check_end_to_end(seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     model = Detector(tiny_detector_config(seed))
@@ -228,13 +163,13 @@ def check_end_to_end(seed: int = 0) -> float:
 
 
 CHECKS: Dict[str, Callable[[int], float]] = {
-    "sbcm": check_sbcm,
-    "cnnf": check_cnnf,
-    "backbone": check_backbone,
-    "faae": check_faae,
-    "hcma": check_hcma,
-    "gate": check_gate,
-    "classifier": check_classifier,
+    "sbcm": _stage_check(_sbcm),
+    "cnnf": _stage_check(_cnnf),
+    "backbone": _stage_check(_backbone),
+    "faae": _stage_check(_faae),
+    "hcma": _stage_check(_hcma, coords=20),
+    "gate": _stage_check(_gate),
+    "classifier": _stage_check(_classifier),
     "e2e": check_end_to_end,
 }
 

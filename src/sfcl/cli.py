@@ -21,7 +21,7 @@ import numpy as np
 
 from .checks import CHECKS, GRAD_TOL, run_check
 from .errors import InputError, NumericError, SfclError, UsageError
-from .frequency import BANDS, BoundingBox, restructure
+from .frequency import BANDS, CHANNEL_NAMES, BoundingBox, restructure
 from .io import (descriptor_csv_rows, load_bbox_manifest, load_dataset_manifest,
                  read_ppm, write_csv)
 from .metrics import metric_accuracy, metric_auc
@@ -235,13 +235,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_export_heatmap(args) -> int:
-    channels = {"Y": 0, "Cb": 1, "Cr": 2}
     if args.band < 0 or args.band > 63:
         raise UsageError(f"--band must be in [0, 63], got {args.band}")
-    if args.channel not in channels:
-        raise UsageError(f"--channel must be one of {sorted(channels)}, got {args.channel!r}")
     spectra = restructure(read_ppm(args.image), _parse_bbox(args.bbox))
-    matrix = np.abs(spectra.coefficients[channels[args.channel], args.band])
+    matrix = np.abs(spectra.coefficients[CHANNEL_NAMES.index(args.channel), args.band])
     with open(args.out, "w", newline="") as fh:
         for row in matrix:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
@@ -338,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True)
     p.add_argument("--bbox", help="x,y,w,h")
     p.add_argument("--band", type=int, required=True)
-    p.add_argument("--channel", default="Y")
+    p.add_argument("--channel", choices=CHANNEL_NAMES, default="Y")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_export_heatmap)
 

@@ -123,14 +123,14 @@ def load_dataset_manifest(path) -> List[Tuple[str, int, Optional[BoundingBox]]]:
         _require_keys(rec, {"file", "label"}, {"bbox"}, f"{path}[{i}]")
         _require_file_name(rec, f"{path}[{i}]")
         label = rec["label"]
-        if label not in (0, 1):
-            raise InputError(f"{path}[{i}]: label must be 0 or 1, got {label!r}")
+        if isinstance(label, bool) or not isinstance(label, int) or label not in (0, 1):
+            raise InputError(f"{path}[{i}]: label must be the integer 0 or 1, got {label!r}")
         bbox = None
         if rec.get("bbox") is not None:
             where = f"{path}[{i}].bbox"
             _require_keys(rec["bbox"], {"x", "y", "w", "h"}, set(), where)
             bbox = _bbox(rec["bbox"], where)
-        out.append((rec["file"], int(label), bbox))
+        out.append((rec["file"], label, bbox))
     return out
 
 

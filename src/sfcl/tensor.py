@@ -832,45 +832,49 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
 # -- finite-difference checking ----------------------------------------------
 
 
-def _projection(shape, seed: int, dtype) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(shape).astype(dtype)
+def fd_error(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
+             picks: Iterable[tuple], h: float = 1e-5) -> float:
+    """Max relative error between backprop and central finite differences.
+
+    One backward pass of ``loss_fn()`` gives the analytic gradients. Each
+    ``(parameter index, flat index)`` pick is then nudged by +h and -h in
+    place, the loss re-evaluated without a graph, and the value restored.
+    loss_fn must be deterministic and must read ``params`` afresh on each
+    call. Returns ``max |a - n| / max(1, |a|, |n|)`` over the picks; a NaN
+    term makes the result NaN, so a NaN gradient cannot pass.
+    """
+    for p in params:
+        p.grad = None
+    backward(loss_fn())
+    grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
+    analytic, numeric = [], []
+    with no_grad():
+        for which, j in picks:
+            data = params[which].data
+            orig = data.flat[j]
+            data.flat[j] = orig + h
+            up = loss_fn().item()
+            data.flat[j] = orig - h
+            down = loss_fn().item()
+            data.flat[j] = orig
+            analytic.append(grads[which].flat[j])
+            numeric.append((up - down) / (2 * h))
+    a, n = np.array(analytic), np.array(numeric)
+    return float((np.abs(a - n) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))).max())
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,
                seed: int = 12345) -> float:
-    """Max relative error between backprop and central finite differences.
+    """``fd_error`` at every element of x, for a fixed projection of f(x).
 
     The scalar objective is a fixed random projection of f's output, so
     outputs whose plain sum is constant (softmax rows) are still exercised.
-    f must be deterministic and must not mutate state it reads. Returns
-    ``max_i |analytic_i - numeric_i| / max(1, |analytic_i|, |numeric_i|)``.
+    f must be deterministic and must not mutate state it reads.
     """
     if x.dtype != np.float64:
         raise UsageError("grad_check requires double precision input")
-
-    probe = f(Tensor(x.data.copy()))
-    r = _projection(probe.shape, seed, np.float64)
-
     xt = Tensor(x.data.copy(), requires_grad=True)
-    loss = reduce_sum(mul(f(xt), Tensor(r)))
-    backward(loss)
-    analytic = xt.grad if xt.grad is not None else np.zeros_like(x.data)
-
-    def objective(arr: np.ndarray) -> float:
-        return float((f(Tensor(arr)).data * r).sum())
-
-    numeric = np.zeros_like(x.data)
-    flat = numeric.reshape(-1)
-    base = x.data.copy()
-    for i in range(base.size):
-        orig = base.flat[i]
-        base.flat[i] = orig + h
-        up = objective(base)
-        base.flat[i] = orig - h
-        down = objective(base)
-        base.flat[i] = orig
-        flat[i] = (up - down) / (2 * h)
-
-    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
-    return float((np.abs(analytic - numeric) / denom).max())
+    with no_grad():
+        r = Tensor(np.random.default_rng(seed).standard_normal(f(xt).shape))
+    return fd_error(lambda: reduce_sum(mul(f(xt), r)), [xt],
+                    [(0, i) for i in range(xt.size)], h)

@@ -114,8 +114,8 @@ def _batches(n: int, batch_size: int, order: np.ndarray):
 def train(model: Detector, samples: Sequence[Sample], cfg: TrainConfig,
           frontend: Optional[FrontendBatch] = None) -> List[Dict]:
     """Train in place; returns the per-epoch log [{epoch, loss, acc}, ...]."""
-    if not samples:
-        raise ConfigError("training needs a non-empty dataset")
+    if len(samples) < 2:  # batch norm needs at least two samples in a batch
+        raise ConfigError(f"training needs at least 2 samples, got {len(samples)}")
     if frontend is None:
         frontend = extract_frontend([s.image for s in samples],
                                     [s.bbox for s in samples],

@@ -97,6 +97,14 @@ class TestManifests:
         with pytest.raises(InputError):
             load_dataset_manifest(path)
 
+    @pytest.mark.parametrize("label", [True, 0.0], ids=["bool", "float"])
+    def test_dataset_manifest_non_integer_label(self, tmp_path, label):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([{"file": "a.ppm", "label": 1},
+                                    {"file": "b.ppm", "label": label}]))
+        with pytest.raises(InputError, match=r"manifest.json\[1\]: label"):
+            load_dataset_manifest(path)
+
     @pytest.mark.parametrize("loader", [load_bbox_manifest, load_dataset_manifest])
     def test_invalid_json(self, tmp_path, loader):
         path = tmp_path / "manifest.json"
@@ -428,6 +436,17 @@ class TestCli:
         assert cli.main(["export-heatmap", "--image", str(img), "--band", "64",
                          "--out", str(tmp_path / "x.csv")]) == 1
 
+    def test_export_heatmap_unknown_channel(self, tmp_path, capsys):
+        img = tmp_path / "gray.ppm"
+        write_ppm(img, PlanarImage(np.full((3, 16, 16), 128.0), "rgb"))
+        assert cli.main(["export-heatmap", "--image", str(img), "--band", "5",
+                         "--channel", "Cg", "--out", str(tmp_path / "x.csv")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["type"] == "UsageError" and "'Cg'" in err["message"]
+        assert not (tmp_path / "x.csv").exists()
+
     def test_export_sida_plot_identical_sets(self, tmp_path, capsys):
         data = str(tmp_path / "set")
         synth_generate(SynthConfig(count=2, height=16, width=16, seed=8), out_dir=data)
@@ -467,6 +486,27 @@ class TestCli:
         assert err["type"] == "UsageError"
         assert "seed" in err["message"] and "non-negative integer" in err["message"]
         assert not os.listdir(tmp_path)
+
+    def test_gradcheck_wrong_backward_exits_3(self, capsys, skewed_sigmoid):
+        assert cli.main(["gradcheck", "--module", "gate"]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "numeric" and "gradcheck gate" in err["message"]
+
+    def test_train_one_image_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        synth_generate(SynthConfig(count=1, height=16, width=16, seed=1), out_dir=str(data))
+        manifest = data / "manifest.json"
+        manifest.write_text(json.dumps(json.loads(manifest.read_text())[:1]))
+        capsys.readouterr()
+        code = cli.main(["train", "--data", str(data), "--out", str(tmp_path / "m.sfcl")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["type"] == "ConfigError" and "at least 2 samples" in err["message"]
+        assert not (tmp_path / "m.sfcl").exists()
 
     def test_gradcheck_unknown_module(self, capsys):
         assert cli.main(["gradcheck", "--module", "nonexistent"]) == 1

@@ -10,6 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import oracles
 from sfcl import tensor as T
+from sfcl.checks import CHECKS, GRAD_TOL
 from sfcl.errors import ConfigError, NumericError, ShapeError, UsageError
 from sfcl.tensor import Tensor
 
@@ -783,6 +784,23 @@ class TestGradCheck:
     def test_single_precision_rejected(self):
         with pytest.raises(UsageError):
             T.grad_check(lambda x: x, Tensor(np.zeros(3, dtype=np.float32)))
+
+    def test_wrong_backward_fails(self, skewed_sigmoid):
+        assert T.grad_check(T.sigmoid, Tensor([0.3, -1.2, 2.0]), h=1e-5) > GRAD_TOL
+        assert CHECKS["gate"](0) > GRAD_TOL
+
+    def test_fd_error_samples_only_its_picks(self):
+        w = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        v = Tensor(np.array([0.5, -0.5]), requires_grad=True)
+        loss_fn = lambda: T.add(T.reduce_sum(T.mul(w, T.mul(w, w))), T.reduce_sum(T.mul(v, v)))
+        assert T.fd_error(loss_fn, [w, v], [(0, 2), (1, 1)]) < 1e-9
+        assert np.array_equal(w.data, [1.0, 2.0, 3.0]) and np.array_equal(v.data, [0.5, -0.5])
+
+    def test_fd_error_keeps_a_nan_gradient(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        nan_grad = lambda x: T._node(x.data.copy(), "nan", (x,), lambda g: (g * np.nan,))
+        err = T.fd_error(lambda: T.reduce_sum(nan_grad(x)), [x], [(0, 0), (0, 1)])
+        assert np.isnan(err)
 
 
 def _op_cases(rng):
