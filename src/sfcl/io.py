@@ -7,6 +7,7 @@ shortest round-trip float formatting.
 from __future__ import annotations
 
 import json
+import re
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -15,13 +16,17 @@ from .errors import InputError
 from .frequency import BoundingBox, PlanarImage
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+# A header number is ASCII digits; int() alone also takes "+2" and "1_0".
+# A minus sign passes here so that a negative size fails the size check.
+_HEADER_NUMBER = re.compile(rb"-?[0-9]+")
 
 
 def read_ppm(path) -> PlanarImage:
     """Read a binary (P6) 8-bit PPM into C-ordered planar RGB ``uint8`` samples.
 
-    Header tolerance is deliberately small: whitespace-separated tokens, no
-    comments, maxval 255, exactly one whitespace byte after the maxval.
+    Header tolerance is deliberately small: whitespace-separated tokens of
+    ASCII decimal digits, no comments, maxval 255, exactly one whitespace
+    byte after the maxval.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -38,10 +43,9 @@ def read_ppm(path) -> PlanarImage:
         if start == pos:
             raise InputError(f"{path}: truncated PPM header")
         tokens.append(blob[start:pos])
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError:
-        raise InputError(f"{path}: non-numeric PPM header fields {tokens}") from None
+    if not all(_HEADER_NUMBER.fullmatch(t) for t in tokens):
+        raise InputError(f"{path}: non-numeric PPM header fields {tokens}")
+    width, height, maxval = (int(t) for t in tokens)
     if width < 1 or height < 1:
         raise InputError(f"{path}: PPM width and height must be at least 1, got {width}x{height}")
     if maxval != 255:

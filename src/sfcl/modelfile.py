@@ -99,6 +99,8 @@ def load_model(path) -> Dict[str, np.ndarray]:
             name = raw_name.decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"{path}: tensor name {raw_name[:40]!r} is not UTF-8") from None
+        if name in out:
+            raise FormatError(f"{path}: tensor {name!r} appears twice")
         code, ndim = r.unpack("<BB")
         if code not in _CODE_DTYPES:
             raise FormatError(f"{path}: unknown dtype code {code} for tensor {name!r}")

@@ -6,11 +6,18 @@ that graph once, in reverse topological order, and leaves ``.grad`` on every
 leaf created with ``requires_grad=True``. Inside a ``no_grad()`` block no
 graph is built.
 
+The graph's vertices are :class:`_Fn` records: an op's result points at its
+vertex, and a vertex at its inputs' vertices, not at their values. The graph
+thus holds only what the backward closures capture, and ``backward`` clears
+each vertex as it sweeps, so a consumed graph frees itself.
+
 Design constraints honoured throughout:
 
 * one precision per expression graph (mixing float32/float64 raises),
 * no implicit broadcasting except scalar-with-tensor,
 * one backward pass per forward pass (a second backward raises),
+* a backward closure captures only what it reads (arrays, shapes, flags),
+  never an input ``Tensor``,
 * a backward closure returns ``None`` for a parent that does not require
   grad (the convolutions and ``linear`` skip that work; ``backward``
   skips ``None``),
@@ -54,11 +61,28 @@ def no_grad() -> Iterator[None]:
         _GRAD_ENABLED.reset(token)
 
 
+class _Fn:
+    """The graph vertex of one recorded op.
+
+    ``parents`` has one entry per op input: the input's own vertex, the
+    input itself when it is a leaf that requires grad (so ``.grad`` lands
+    there), or None for an input without grad. ``backward`` maps the output
+    gradient to one gradient per entry, in the same order.
+    """
+
+    __slots__ = ("parents", "backward", "op", "consumed")
+
+    def __init__(self, parents: tuple, backward: Callable, op: str):
+        self.parents = parents
+        self.backward: Optional[Callable] = backward
+        self.op = op
+        self.consumed = False
+
+
 class Tensor:
     """Dense N-D array with optional recorded gradient."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op",
-                 "_consumed")
+    __slots__ = ("data", "requires_grad", "grad", "_fn")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -67,10 +91,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self._parents: tuple = ()
-        self._backward: Optional[Callable] = None
-        self._op: Optional[str] = None
-        self._consumed = False
+        self._fn: Optional[_Fn] = None
 
     # -- introspection -------------------------------------------------
 
@@ -96,7 +117,7 @@ class Tensor:
 
     @property
     def is_leaf(self) -> bool:
-        return not self._parents
+        return self._fn is None
 
     def item(self) -> float:
         if self.size != 1:
@@ -127,13 +148,21 @@ class Tensor:
         return matmul(self, other)
 
 
+def _vertex(t: Tensor):
+    """t's entry in a vertex's parents: its op's vertex, t itself for a leaf
+    that requires grad, else None."""
+    if t._fn is not None:
+        return t._fn
+    return t if t.requires_grad else None
+
+
 def _trace(root: Tensor) -> list:
-    """The nodes behind ``root`` in topological order: each node's parents
-    that require grad come earlier (or are leaves), so a single reverse
-    sweep performs backpropagation."""
+    """The vertices behind ``root`` in topological order: each vertex's
+    parents come earlier, so a single reverse sweep performs
+    backpropagation. A leaf's vertex is the leaf ``Tensor`` itself."""
     order: list = []
     seen: set = set()
-    stack: list = [(root, False)]
+    stack: list = [(_vertex(root), False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -143,46 +172,49 @@ def _trace(root: Tensor) -> list:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in seen:
-                stack.append((parent, False))
+        if type(node) is _Fn:
+            for parent in node.parents:
+                if parent is not None and id(parent) not in seen:
+                    stack.append((parent, False))
     return order
 
 
 def backward(loss: Tensor) -> None:
     """Backpropagate from a scalar loss; leaves with requires_grad get .grad.
 
-    Gradient accumulation over multiple graph paths is a sum. A node's graph
-    may be walked only once; rerunning backward on a consumed graph raises.
+    Gradient accumulation over multiple graph paths is a sum. A graph may be
+    walked only once; rerunning backward on a consumed graph raises. Each
+    vertex drops its closure and parents once swept, so the activations
+    they held are freed during the sweep, not after it.
     """
     if loss.size != 1:
         raise UsageError(f"backward expects a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise UsageError("loss does not depend on any tensor with requires_grad")
-    nodes = _trace(loss)
-    for node in nodes:
-        if node._consumed:
-            raise UsageError("backward was already run on this graph; rerun the forward pass first")
+    order = _trace(loss)
+    if any(type(node) is _Fn and node.consumed for node in order):
+        raise UsageError("backward was already run on this graph; rerun the forward pass first")
 
-    grads: dict = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(nodes):
+    grads: dict = {id(order[-1]): np.ones_like(loss.data)}
+    while order:
+        node = order.pop()  # the list must not keep swept vertices alive
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.is_leaf:
+        if type(node) is not _Fn:  # a leaf
             node.grad = g if node.grad is None else node.grad + g
             continue
-        parent_grads = node._backward(g)
-        for parent, pg in zip(node._parents, parent_grads):
-            if pg is None or not parent.requires_grad:
+        for parent, pg in zip(node.parents, node.backward(g)):
+            if pg is None or parent is None:
                 continue
             key = id(parent)
             if key in grads:
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
-        node._consumed = True
-        node._backward = None  # free the closure and its captured buffers
+        node.consumed = True
+        node.backward = None  # free the closure and its captured buffers
+        node.parents = ()
 
 
 # -- construction helpers ----------------------------------------------
@@ -198,9 +230,7 @@ def _node(data: np.ndarray, op: str, parents: Sequence[Tensor],
     out = Tensor(data)
     if _records(parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = bw
-        out._op = op
+        out._fn = _Fn(tuple(_vertex(p) for p in parents), bw, op)
     return out
 
 
@@ -244,9 +274,10 @@ def add(a: Tensor, b) -> Tensor:
     b = _coerce_operand(b, a)
     _check_same_precision("add", a, b)
     _binary_layout("add", a, b)
+    sa, sb = a.shape, b.shape
 
     def bw(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+        return _reduce_to(g, sa), _reduce_to(g, sb)
 
     return _node(a.data + b.data, "add", (a, b), bw)
 
@@ -259,7 +290,7 @@ def mul(a: Tensor, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def bw(g):
-        return _reduce_to(g * bd, a.shape), _reduce_to(g * ad, b.shape)
+        return _reduce_to(g * bd, ad.shape), _reduce_to(g * ad, bd.shape)
 
     return _node(ad * bd, "mul", (a, b), bw)
 
@@ -385,7 +416,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def bw(g):
         out = []
-        for i in range(len(parts)):
+        for i in range(len(sizes)):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(offsets[i], offsets[i + 1])
             out.append(g[tuple(sl)])
@@ -431,14 +462,16 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         raise ShapeError(f"linear: expected [N,in] input and [in,out] weight, got {x.shape} and {w.shape}")
     if b is not None and b.shape != (w.shape[1],):
         raise ShapeError(f"linear: bias shape {b.shape} does not match output width {w.shape[1]}")
-    y = xd @ w.data
+    wd = w.data
+    y = xd @ wd
     if b is not None:
         y = y + b.data[None, :]
+    x_grad, w_grad, with_bias = x.requires_grad, w.requires_grad, b is not None
 
     def bw(g):
-        dx = g @ w.data.T if x.requires_grad else None
-        dw = xd.T @ g if w.requires_grad else None
-        if b is None:
+        dx = g @ wd.T if x_grad else None
+        dw = xd.T @ g if w_grad else None
+        if not with_bias:
             return dx, dw
         return dx, dw, g.sum(axis=0)
 
@@ -611,11 +644,11 @@ def conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
     fewer samples already can.
     """
     _check_same_precision("conv2d", x, w)
-    xd = x.data
-    if xd.ndim != 4 or w.ndim != 4:
+    xd, wd = x.data, w.data
+    if xd.ndim != 4 or wd.ndim != 4:
         raise ShapeError(f"conv2d: expected [N,C_in,H,W] input and 4D kernel, got {x.shape} and {w.shape}")
     n, ci, h, wd_ = xd.shape
-    co, ci_w, kh, kw = w.shape
+    co, ci_w, kh, kw = wd.shape
     if ci != ci_w:
         raise ShapeError(f"conv2d: input channels {ci} do not match kernel channels {ci_w}")
     geo, ho, wo = _conv2d_geometry("conv2d", xd, kh, kw, stride, pad)
@@ -623,15 +656,16 @@ def conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
 
     out = _channel_major((n, co, ho, wo), xd.dtype)
     for ns, rs in _chunks(n, ho, ci * kh * kw * wo * xd.itemsize, _CONV_CHUNK, 1):
-        np.einsum("ncpqij,ocij->nopq", _windows(xd[ns], rs, ho, geo), w.data,
+        np.einsum("ncpqij,ocij->nopq", _windows(xd[ns], rs, ho, geo), wd,
                   out=out[ns, :, rs], optimize=True)
+    x_grad, w_grad = x.requires_grad, w.requires_grad
 
     def bw(g):
         dw = None
-        if w.requires_grad:  # the padded input is built again, not kept from the forward
+        if w_grad:  # the padded input is built again, not kept from the forward
             win = _windows(xd, slice(None), ho, geo)
             dw = np.einsum("nopq,ncpqij->ocij", g, win, optimize=True)
-        if not x.requires_grad:
+        if not x_grad:
             return None, dw
         # Channels-last accumulator: each tap adds rows of C contiguous values.
         # dx is handed on C-ordered: reductions downstream sum in memory
@@ -644,7 +678,7 @@ def conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
         for i in range(kh):
             for j in range(kw):
                 dxp[:, i:i + sh * ho:sh, j:j + sw * wo:sw] += np.einsum(
-                    "om,oc->mc", g_cols, w.data[:, :, i, j], optimize=True).reshape(n, ho, wo, ci)
+                    "om,oc->mc", g_cols, wd[:, :, i, j], optimize=True).reshape(n, ho, wo, ci)
         return np.ascontiguousarray(dxp[:, ph:ph + h, pw:pw + wd_].transpose(0, 3, 1, 2)), dw
 
     return _node(out, "conv2d", (x, w), bw)
@@ -656,12 +690,12 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
     Chunked as :func:`conv2d`.
     """
     _check_same_precision("depthwise_conv2d", x, w)
-    xd = x.data
-    if xd.ndim != 4 or w.ndim != 3:
+    xd, wd = x.data, w.data
+    if xd.ndim != 4 or wd.ndim != 3:
         raise ShapeError(
             f"depthwise_conv2d: expected [N,C,H,W] input and [C,kh,kw] kernel, got {x.shape} and {w.shape}")
     n, c, h, wd_ = xd.shape
-    cw, kh, kw = w.shape
+    cw, kh, kw = wd.shape
     if c != cw:
         raise ShapeError(f"depthwise_conv2d: channels {c} do not match kernel channels {cw}")
     geo, ho, wo = _conv2d_geometry("depthwise_conv2d", xd, kh, kw, stride, pad)
@@ -669,22 +703,23 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
 
     out = _channel_major((n, c, ho, wo), xd.dtype)
     for ns, rs in _chunks(n, ho, c * kh * kw * wo * xd.itemsize, _CONV_CHUNK, 1):
-        np.einsum("ncpqij,cij->ncpq", _windows(xd[ns], rs, ho, geo), w.data,
+        np.einsum("ncpqij,cij->ncpq", _windows(xd[ns], rs, ho, geo), wd,
                   out=out[ns, :, rs], optimize=True)
+    x_grad, w_grad = x.requires_grad, w.requires_grad
 
     def bw(g):
         dw = None
-        if w.requires_grad:
+        if w_grad:
             win = _windows(xd, slice(None), ho, geo)
             dw = np.einsum("ncpq,ncpqij->cij", g, win, optimize=True)
-        if not x.requires_grad:
+        if not x_grad:
             return None, dw
         # Channels-last accumulator, handed on C-ordered, as in conv2d.
         g_last = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
         dxp = np.zeros((n, h + 2 * ph, wd_ + 2 * pw, c), dtype=xd.dtype)
         for i in range(kh):
             for j in range(kw):
-                dxp[:, i:i + sh * ho:sh, j:j + sw * wo:sw] += g_last * w.data[:, i, j]
+                dxp[:, i:i + sh * ho:sh, j:j + sw * wo:sw] += g_last * wd[:, i, j]
         return np.ascontiguousarray(dxp[:, ph:ph + h, pw:pw + wd_].transpose(0, 3, 1, 2)), dw
 
     return _node(out, "depthwise_conv2d", (x, w), bw)
@@ -719,12 +754,13 @@ def conv3d(x: Tensor, w: Tensor, stride_d: int = 1) -> Tensor:
     out = _channel_major((n, co, do, h, wd_sp), xd.dtype)
     for ns, rs in _chunks(n, h, ci * do * wd_sp * kd * xd.itemsize, _CONV_CHUNK, 1):
         np.einsum("ncdhwk,ock->nodhw", windows(ns, rs), wd, out=out[ns, :, :, rs], optimize=True)
+    x_grad, w_grad = x.requires_grad, w.requires_grad
 
     def bw(g):
         dwk = None
-        if w.requires_grad:
+        if w_grad:
             dwk = np.einsum("nodhw,ncdhwk->ock", g, windows(slice(None), slice(None)), optimize=True)
-        if not x.requires_grad:
+        if not x_grad:
             return None, dwk
         dxw = np.einsum("nodhw,ock->ncdkhw", g, wd, optimize=True)
         dx = np.zeros_like(xd)
@@ -787,13 +823,14 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
     xhat *= inv_b  # in place: nothing reads centered again
     # Without a graph nothing reads xhat again either, so it takes the output.
     out = xhat if not _records((x, gamma, beta)) else None
-    out = np.multiply(xhat, gamma.data.reshape(bshape), out=out)
+    gd = gamma.data
+    out = np.multiply(xhat, gd.reshape(bshape), out=out)
     out += beta.data.reshape(bshape)
 
     def bw(g):
         dgamma = (g * xhat).sum(axis=axes)
         dbeta = g.sum(axis=axes)
-        scale = gamma.data.reshape(bshape) * inv_b
+        scale = gd.reshape(bshape) * inv_b
         if mode == "infer":
             return g * scale, dgamma, dbeta
         # Closed form (Ioffe & Szegedy 2015, section 3):

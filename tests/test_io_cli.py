@@ -59,6 +59,14 @@ class TestPpm:
         with pytest.raises(InputError, match="at least 1"):
             read_ppm(path)
 
+    @pytest.mark.parametrize("dims", [b"1_0 1", b"+2 1"], ids=["underscore", "plus"])
+    def test_header_fields_are_plain_digits(self, tmp_path, dims):
+        # int() reads these as 10 and 2
+        path = tmp_path / "sign.ppm"
+        path.write_bytes(b"P6 " + dims + b" 255\n" + b"\x00" * 30)
+        with pytest.raises(InputError, match="non-numeric"):
+            read_ppm(path)
+
     def test_single_whitespace_after_maxval(self, tmp_path):
         # one whitespace byte after maxval belongs to the header, the rest is data
         path = tmp_path / "exact.ppm"
@@ -203,6 +211,14 @@ class TestModelFile:
         path.write_bytes(_model_header(1) + struct.pack("<H", 2) + b"\xff\xfe"
                          + struct.pack("<BB", 0, 0) + b"\x00" * 4)
         with pytest.raises(FormatError, match="UTF-8"):
+            load_model(path)
+
+    def test_repeated_name(self, tmp_path):
+        # two one-element float32 tensors, both named "w"
+        entry = struct.pack("<H", 1) + b"w" + struct.pack("<BBI", 0, 1, 1) + b"\x00" * 4
+        path = tmp_path / "twice.sfcl"
+        path.write_bytes(_model_header(2) + entry + entry)
+        with pytest.raises(FormatError, match="tensor 'w' appears twice"):
             load_model(path)
 
     def test_overflowing_dims(self, tmp_path):
