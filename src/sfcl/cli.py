@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 usage error, 2 input/data error, 3 numeric failure.
 Errors go to stderr as one JSON object per failure. The SFCL_THREADS
 environment variable caps the worker count for data-parallel extraction
-commands (default: machine parallelism).
+commands (default: the CPUs this process may run on).
 """
 
 from __future__ import annotations
@@ -60,7 +60,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _worker_count() -> int:
     value = os.environ.get("SFCL_THREADS")
-    if value is None:
+    if value is None:  # the CPUs this process may use, not the host's (cpusets, taskset)
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         n = int(value)

@@ -36,6 +36,13 @@ _SECTIONS = {
 # these keys may also be zero.
 _ZERO_ALLOWED = frozenset({"train.seed", "train.weight_decay", "synth.seed", "synth.grain",
                            "synth.smooth_passes"})
+# Width keys also have a maximum, 4x the widest shipped width (2048), so a
+# mistyped width fails here and not in numpy's allocator: one 8192 x 8192
+# float64 weight is already 512 MiB.
+_WIDTH_MAX = 8192
+_WIDTHS = frozenset({"sbcm.widths", "cnnf.widths", "backbone.stem_widths",
+                     "backbone.deep_widths", "backbone.output_dim", "faae.attn_dim",
+                     "hcma.embed_dim"})
 
 
 @dataclass
@@ -75,6 +82,8 @@ def _check_range(key: str, value) -> None:
     if not (math.isfinite(value) and (value > 0 or (zero_ok and value == 0))):
         raise ConfigError(f"config key '{key}' must be finite and {'>= 0' if zero_ok else '> 0'}, "
                           f"got {json.dumps(value)}")
+    if key.split("[")[0] in _WIDTHS and value > _WIDTH_MAX:
+        raise ConfigError(f"config key '{key}' must be <= {_WIDTH_MAX}, got {json.dumps(value)}")
 
 
 def _build_section(name: str, cls, doc: dict):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sfcl
-from sfcl import cli, runconfig
+from sfcl import cli, runconfig, sida
 from sfcl.errors import ConfigError, FormatError, InputError, UsageError
 from sfcl.frequency import PlanarImage
 from sfcl.io import (descriptor_csv_rows, format_cell, load_bbox_manifest,
@@ -283,6 +283,20 @@ class TestRunConfig:
         run = run_config_from_dict({"train": {"seed": 0, "weight_decay": 0},
                                     "synth": {"seed": 0, "grain": 0, "smooth_passes": 0}})
         assert run.train.weight_decay == 0.0 and run.synth.smooth_passes == 0
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("backbone", "output_dim", 1 << 40), ("hcma", "embed_dim", 1 << 40),
+        ("cnnf", "widths", [192, 256, 728, 8193]), ("sbcm", "widths", [3, 16, 10 ** 6, 64]),
+        ("backbone", "stem_widths", [3, 32, 48, 8193]), ("backbone", "deep_widths", [64, 8193]),
+        ("faae", "attn_dim", 8193)])
+    def test_widths_above_the_maximum(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"'{section}\.{key}(\[\d\])?' must be <= 8192"):
+            run_config_from_dict({section: {key: value}})
+
+    def test_widths_at_the_maximum_load(self):
+        run = run_config_from_dict({"backbone": {"output_dim": 8192},
+                                    "hcma": {"embed_dim": 8192}, "faae": {"attn_dim": 8192}})
+        assert run.detector.backbone.output_dim == run.detector.hcma.embed_dim == 8192
 
     @pytest.mark.parametrize("section, key", [
         ("faae", "spatial_channels"), ("faae", "freq_channels"),
@@ -572,8 +586,10 @@ class TestCli:
 
     @pytest.mark.parametrize("doc", [
         {"hcma": {"tokens": 0}}, {"faae": {"attn_dim": 0}},
-        {"backbone": {"output_dim": -1}}, {"train": {"learning_rate": float("nan")}}],
-        ids=["hcma_tokens_0", "faae_attn_dim_0", "backbone_output_dim_-1", "learning_rate_nan"])
+        {"backbone": {"output_dim": -1}}, {"train": {"learning_rate": float("nan")}},
+        {"backbone": {"output_dim": 1 << 40}}, {"hcma": {"embed_dim": 1 << 40}}],
+        ids=["hcma_tokens_0", "faae_attn_dim_0", "backbone_output_dim_-1", "learning_rate_nan",
+             "backbone_output_dim_2^40", "hcma_embed_dim_2^40"])
     def test_train_config_out_of_range_is_config_error(self, tmp_path, capsys, monkeypatch,
                                                        doc):
         cfg = tmp_path / "c.json"
@@ -638,6 +654,43 @@ class TestCli:
         code = cli.main(["features-sida", "--images", data,
                          "--out", str(tmp_path / "d.csv")])
         assert code == 1
+        capsys.readouterr()
+
+    def test_default_worker_count_is_the_affinity_set(self, monkeypatch):
+        monkeypatch.delenv("SFCL_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert cli._worker_count() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._worker_count() == 64  # where the platform has no affinity call
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._worker_count() == 1
+
+    def test_features_sida_csv_independent_of_pool_and_chunking(self, tmp_path, monkeypatch,
+                                                                 capsys, rng):
+        data = tmp_path / "imgs"
+        data.mkdir()
+        records = []
+        for i, (h, w) in enumerate([(16, 16), (40, 56), (64, 64), (56, 40), (64, 64)]):
+            name = f"im{i}.ppm"
+            write_ppm(data / name, PlanarImage(np.round(rng.uniform(0, 255, (3, h, w))), "rgb"))
+            records.append({"file": name, "label": i % 2})
+        records[2]["bbox"] = {"x": 5, "y": 3, "w": 40, "h": 48}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(records))
+
+        def csv_bytes(threads, chunk_bytes=sida._CHUNK_BYTES):
+            monkeypatch.setenv("SFCL_THREADS", threads)
+            monkeypatch.setattr(sida, "_CHUNK_BYTES", chunk_bytes)
+            out = tmp_path / f"d{threads}-{chunk_bytes}.csv"
+            assert cli.main(["features-sida", "--images", str(data), "--manifest",
+                             str(manifest), "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        serial = csv_bytes("1")
+        assert csv_bytes("2") == serial
+        assert csv_bytes("2", chunk_bytes=8) == serial  # one (channel, band) row a chunk
+        assert serial.count(b"\n") == 1 + len(records)
         capsys.readouterr()
 
     def test_negative_ppm_dims_is_input_error(self, tmp_path, capsys):
