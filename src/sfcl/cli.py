@@ -372,6 +372,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _fail("input", exc, 2)
     except OSError as exc:
         return _fail("input", exc, 2)
+    except MemoryError as exc:  # numpy refused an allocation the input asked for
+        return _fail("input", exc, 2)
     except NumericError as exc:
         return _fail("numeric", exc, 3)
     except SfclError as exc:  # any future subclasses default to usage

@@ -70,18 +70,18 @@ class Faae(Layer):
             raise ShapeError(
                 f"spatial dims differ: frequency {x_f.shape} vs spatial {x_s.shape}; no silent resampling")
         tf, ts = _tokens(x_f), _tokens(x_s)
-        m_query = T.concat([T.matmul(tf, self.q_f.w), T.matmul(ts, self.q_s.w)], axis=2)
-        m_key = T.concat([T.matmul(tf, self.k_f.w), T.matmul(ts, self.k_s.w)], axis=2)
+        m_query = T.concat([self.q_f.forward(tf), self.q_s.forward(ts)], axis=2)
+        m_key = T.concat([self.k_f.forward(tf), self.k_s.forward(ts)], axis=2)
         return m_query, m_key, 1.0 / math.sqrt(2 * self.cfg.attn_dim)
 
     def forward(self, x_f: Tensor, x_s: Tensor, mode: str = "infer") -> Tensor:
         """Residual injection of gated frequency context: returns Y_S, same shape as X_S."""
         m_query, m_key, scale = self._query_key(x_f, x_s)
         n, cs, h, w = x_s.shape
-        values = T.matmul(_tokens(x_f), self.v_f.w)          # [N, HW, Cs]
+        values = self.v_f.forward(_tokens(x_f))  # [N, HW, Cs]
         context = T.attention(m_query, m_key, values, scale)
         context = T.mul(context, T.sigmoid(self.gamma_s))
-        context = T.matmul(context, self.out.w)
+        context = self.out.forward(context)
         residual = self.bn.forward(_untokens(context, h, w), mode)
         return T.add(x_s, residual)
 
@@ -150,9 +150,9 @@ class Hcma(Layer):
         f1 = self.proj_f.forward(f)
         sq = T.reshape(s1, (n, cfg.tokens, cfg.token_dim))
         fk = T.reshape(f1, (n, cfg.tokens, cfg.token_dim))
-        q = self._split_heads(T.matmul(sq, self.w_q.w))
-        k = self._split_heads(T.matmul(fk, self.w_k.w))
-        v = self._split_heads(T.matmul(fk, self.w_v.w))
+        q = self._split_heads(self.w_q.forward(sq))
+        k = self._split_heads(self.w_k.forward(fk))
+        v = self._split_heads(self.w_v.forward(fk))
         scale = 1.0 / math.sqrt(cfg.embed_dim / cfg.heads)
         attended = T.attention(q, k, v, scale)
         a_flat = self._merge_heads(attended, n)

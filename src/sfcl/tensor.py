@@ -15,6 +15,8 @@ Design constraints honoured throughout:
 
 * one precision per expression graph (mixing float32/float64 raises),
 * no implicit broadcasting except scalar-with-tensor,
+* ``linear`` maps the last axis of an [..., in] input, so a layer applies
+  its own weight to a batch of token sequences,
 * one backward pass per forward pass (a second backward raises),
 * a backward closure captures only what it reads (arrays, shapes, flags),
   never an input ``Tensor``,
@@ -115,10 +117,6 @@ class Tensor:
     def precision(self) -> str:
         return "single" if self.data.dtype == np.float32 else "double"
 
-    @property
-    def is_leaf(self) -> bool:
-        return self._fn is None
-
     def item(self) -> float:
         if self.size != 1:
             raise UsageError(f"item() needs a single-element tensor, got shape {self.shape}")
@@ -129,23 +127,6 @@ class Tensor:
         if self.requires_grad:
             head += ", grad"
         return head + ")"
-
-    # -- operator sugar (thin wrappers over the module-level ops) -------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _vertex(t: Tensor):
@@ -248,15 +229,10 @@ def _check_same_precision(op: str, *tensors: Tensor) -> None:
         raise UsageError(f"{op}: operands mix precisions {sorted(str(d) for d in dtypes)}")
 
 
-def _binary_layout(op: str, a: Tensor, b: Tensor):
-    """Validate the scalar-or-identical-dims broadcasting rule."""
-    if a.shape == b.shape:
-        return "same"
-    if b.size == 1:
-        return "b_scalar"
-    if a.size == 1:
-        return "a_scalar"
-    raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ and neither is a scalar")
+def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
+    """Raise unless a and b have one shape or one of them is a scalar."""
+    if a.shape != b.shape and a.size != 1 and b.size != 1:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ and neither is a scalar")
 
 
 def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -273,7 +249,7 @@ def add(a: Tensor, b) -> Tensor:
     a = a if isinstance(a, Tensor) else _coerce_operand(a, b)
     b = _coerce_operand(b, a)
     _check_same_precision("add", a, b)
-    _binary_layout("add", a, b)
+    _check_broadcast("add", a, b)
     sa, sb = a.shape, b.shape
 
     def bw(g):
@@ -286,7 +262,7 @@ def mul(a: Tensor, b) -> Tensor:
     a = a if isinstance(a, Tensor) else _coerce_operand(a, b)
     b = _coerce_operand(b, a)
     _check_same_precision("mul", a, b)
-    _binary_layout("mul", a, b)
+    _check_broadcast("mul", a, b)
     ad, bd = a.data, b.data
 
     def bw(g):
@@ -384,9 +360,7 @@ def reshape(x: Tensor, dims: Sequence[int]) -> Tensor:
     return _node(data, "reshape", (x,), bw)
 
 
-def transpose(x: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(x.ndim)))
+def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(int(a) for a in axes)
     if sorted(axes) != list(range(x.ndim)):
         raise ShapeError(f"transpose: {axes} is not a permutation of axes of {x.shape}")
@@ -428,54 +402,33 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 # -- linear algebra --------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: 2D x 2D, batched 3D x 3D, or batched 3D x 2D."""
-    _check_same_precision("matmul", a, b)
-    ad, bd = a.data, b.data
-    ok = (
-        (ad.ndim == 2 and bd.ndim == 2 and ad.shape[1] == bd.shape[0])
-        or (ad.ndim == 3 and bd.ndim == 3 and ad.shape[0] == bd.shape[0]
-            and ad.shape[2] == bd.shape[1])
-        or (ad.ndim == 3 and bd.ndim == 2 and ad.shape[2] == bd.shape[0])
-    )
-    if not ok:
-        raise ShapeError(f"matmul: incompatible shapes {ad.shape} and {bd.shape}")
-
-    def bw(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            return g @ bd.T, ad.T @ g
-        if bd.ndim == 3:
-            return g @ bd.transpose(0, 2, 1), ad.transpose(0, 2, 1) @ g
-        # batched lhs against a shared 2D rhs
-        da = g @ bd.T
-        db = np.einsum("bmk,bmn->kn", ad, g, optimize=True)
-        return da, db
-
-    return _node(np.matmul(ad, bd), "matmul", (a, b), bw)
-
-
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """Affine map ``x @ w + b`` for x of shape [N, in], w [in, out], b [out]."""
-    _check_same_precision("linear", *( (x, w, b) if b is not None else (x, w) ))
-    xd = x.data
-    if xd.ndim != 2 or w.ndim != 2 or xd.shape[1] != w.shape[0]:
-        raise ShapeError(f"linear: expected [N,in] input and [in,out] weight, got {x.shape} and {w.shape}")
-    if b is not None and b.shape != (w.shape[1],):
-        raise ShapeError(f"linear: bias shape {b.shape} does not match output width {w.shape[1]}")
-    wd = w.data
+    """Affine map ``x @ w + b`` of the last axis: x [..., in], w [in, out], b [out].
+
+    Leading axes are batch axes. The weight and bias gradients sum over
+    them as one [rows, in] by [rows, out] product on flattened views.
+    """
+    parents = (x, w) if b is None else (x, w, b)
+    _check_same_precision("linear", *parents)
+    xd, wd = x.data, w.data
+    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
+        raise ShapeError(f"linear: expected [..., in] input and [in, out] weight, got {x.shape} and {w.shape}")
+    d_in, d_out = wd.shape
+    if b is not None and b.shape != (d_out,):
+        raise ShapeError(f"linear: bias shape {b.shape} does not match output width {d_out}")
     y = xd @ wd
     if b is not None:
-        y = y + b.data[None, :]
+        y = y + b.data
     x_grad, w_grad, with_bias = x.requires_grad, w.requires_grad, b is not None
 
     def bw(g):
         dx = g @ wd.T if x_grad else None
-        dw = xd.T @ g if w_grad else None
+        rows = g.reshape(-1, d_out)
+        dw = xd.reshape(-1, d_in).T @ rows if w_grad else None
         if not with_bias:
             return dx, dw
-        return dx, dw, g.sum(axis=0)
+        return dx, dw, rows.sum(axis=0)
 
-    parents = (x, w) if b is None else (x, w, b)
     return _node(y, "linear", parents, bw)
 
 

@@ -164,7 +164,7 @@ def test_c07_attention_contracts():
     hcma.residual.w.data[...] = 0.0  # the ungated output is then the attention output
     s, f, d = (Tensor(rng.standard_normal((2, width))) for width in (12, 10, 2304))
     attended = hcma.fuse(s, f, d, mode="infer", use_gate=False).data
-    values = T.matmul(T.reshape(hcma.proj_f.forward(f), (2, 1, 16)), hcma.w_v.w).data
+    values = hcma.w_v.forward(T.reshape(hcma.proj_f.forward(f), (2, 1, 16))).data
     degenerate = np.array_equal(attended, values.reshape(2, 16))
 
     ok = worst_row < 1e-6 and identity_dev < 1e-6 and degenerate

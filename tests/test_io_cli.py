@@ -549,6 +549,16 @@ class TestCli:
         assert err["error"] == "usage"
         assert "--count" in err["message"]
 
+    def test_refused_allocation_is_input_error(self, tmp_path, capsys):
+        # numpy refuses a 6.94 EiB array at once, so nothing is allocated
+        code = cli.main(["dataset-synth", "--out", str(tmp_path / "d"), "--count", "1",
+                         "--size", "1000000000"])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "input" and "allocate" in err["message"]
+
     def test_missing_data_dir_is_input_error(self, tmp_path, capsys):
         code = cli.main(["eval", "--config", _tiny_config(tmp_path),
                          "--data", str(tmp_path / "nope"),

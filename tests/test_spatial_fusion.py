@@ -120,10 +120,11 @@ class TestFaae:
         x_s = Tensor(rng.standard_normal((3, 64, 4, 4)).astype(dtype))
         x_f = Tensor(rng.standard_normal((3, 192, 4, 4)).astype(dtype))
         alpha = _faae_map(faae, x_f, x_s)
-        # forward's context path, with the map applied by matmul
+        # forward's context path, with the map applied by a batched product
         n, cs, h, w = x_s.shape
-        values = T.matmul(_tokens(x_f), faae.v_f.w)
-        context = T.matmul(T.mul(T.matmul(alpha, values), T.sigmoid(faae.gamma_s)), faae.out.w)
+        values = faae.v_f.forward(_tokens(x_f))
+        applied = Tensor(np.matmul(alpha.data, values.data))
+        context = faae.out.forward(T.mul(applied, T.sigmoid(faae.gamma_s)))
         want = T.add(x_s, faae.bn.forward(_untokens(context, h, w), "infer")).data
         assert np.array_equal(faae.forward(x_f, x_s, mode="infer").data, want)
 
@@ -178,7 +179,7 @@ class TestHcma:
         s = Tensor(rng.standard_normal((2, 12)))
         f = Tensor(rng.standard_normal((2, 10)))
         _, attended = self._fuse_both(hcma, s, f, Tensor(rng.standard_normal((2, 2304))))
-        values = T.matmul(T.reshape(hcma.proj_f.forward(f), (2, 1, 16)), hcma.w_v.w)
+        values = hcma.w_v.forward(T.reshape(hcma.proj_f.forward(f), (2, 1, 16)))
         assert np.array_equal(attended, values.data.reshape(2, 16))
 
     def test_output_length_and_gate_range(self, rng):

@@ -16,42 +16,54 @@ from sfcl.errors import ConfigError, NumericError, ShapeError, UsageError
 from sfcl.tensor import Tensor
 
 
-class TestMatmul:
+class TestLinear:
     def test_identity(self):
         a = Tensor(np.eye(2))
         b = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.array_equal(T.matmul(a, b).data, b.data)
+        assert np.array_equal(T.linear(a, b).data, b.data)
 
     def test_row_times_column(self):
-        out = T.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
+        out = T.linear(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
         assert out.data.shape == (1, 1)
         assert out.data[0, 0] == 11.0
 
     def test_against_triple_loop(self, rng):
         a = rng.standard_normal((5, 7))
         b = rng.standard_normal((7, 3))
-        got = T.matmul(Tensor(a), Tensor(b)).data
+        got = T.linear(Tensor(a), Tensor(b)).data
         assert np.abs(got - oracles.matmul_triple_loop(a, b)).max() < 1e-12
 
-    def test_batched_forms(self, rng):
-        a = rng.standard_normal((4, 3, 5))
-        b = rng.standard_normal((4, 5, 2))
-        got = T.matmul(Tensor(a), Tensor(b)).data
-        assert np.allclose(got, np.stack([x @ y for x, y in zip(a, b)]), atol=1e-14)
-        shared = rng.standard_normal((5, 2))
-        got2 = T.matmul(Tensor(a), Tensor(shared)).data
-        assert np.allclose(got2, np.stack([x @ shared for x in a]), atol=1e-14)
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_token_batch_against_triple_loop(self, rng, with_bias):
+        x = rng.standard_normal((4, 3, 5))
+        w = rng.standard_normal((5, 2))
+        b = rng.standard_normal(2) if with_bias else np.zeros(2)
+        got = T.linear(Tensor(x), Tensor(w), Tensor(b) if with_bias else None).data
+        assert got.shape == (4, 3, 2)
+        for xi, yi in zip(x, got):
+            assert np.abs(yi - (oracles.matmul_triple_loop(xi, w) + b)).max() < 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_token_batch_weight_gradient_bit_equal_to_einsum(self, rng, dtype):
+        # the desk FAAE's projection of 20 samples of 64 tokens, 192 -> 32
+        x = rng.standard_normal((20, 64, 192)).astype(dtype)
+        w = Tensor(rng.standard_normal((192, 32)).astype(dtype), requires_grad=True)
+        g = rng.standard_normal((20, 64, 32)).astype(dtype)
+        T.backward(T.reduce_sum(T.mul(T.linear(Tensor(x), w), Tensor(g))))
+        assert w.grad.dtype == dtype
+        assert np.array_equal(w.grad, np.einsum("bmk,bmn->kn", x, g, optimize=True))
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError) as err:
-            T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-        assert "(2, 3)" in str(err.value)
+            T.linear(Tensor(np.zeros((4, 2, 3))), Tensor(np.zeros((2, 5))))
+        assert "(4, 2, 3)" in str(err.value) and "(2, 5)" in str(err.value)
 
     def test_mixed_precision_rejected(self):
-        a = Tensor(np.zeros((2, 2), dtype=np.float32))
+        a = Tensor(np.zeros((3, 2, 2), dtype=np.float32))
         b = Tensor(np.zeros((2, 2), dtype=np.float64))
-        with pytest.raises(UsageError):
-            T.matmul(a, b)
+        with pytest.raises(UsageError) as err:
+            T.linear(a, b)
+        assert "float32" in str(err.value) and "float64" in str(err.value)
 
 
 class TestConv2d:
@@ -312,10 +324,12 @@ def _weighted_ops(rng):
                    rng.standard_normal((2, 3, 9, 2, 3)), [rng.standard_normal((4, 3, 3))]),
         "linear": (lambda x, w: T.linear(x, w[0], w[1]),
                    rng.standard_normal((5, 6)), [rng.standard_normal((6, 4)), rng.standard_normal(4)]),
+        "linear3d": (lambda x, w: T.linear(x, w[0], w[1]),
+                     rng.standard_normal((2, 5, 6)), [rng.standard_normal((6, 4)), rng.standard_normal(4)]),
     }
 
 
-@pytest.mark.parametrize("name", ["conv2d", "depthwise", "conv3d", "linear"])
+@pytest.mark.parametrize("name", ["conv2d", "depthwise", "conv3d", "linear", "linear3d"])
 def test_backward_skips_input_gradient_nobody_reads(rng, name):
     op, x0, w0 = _weighted_ops(rng)[name]
     g = None
@@ -389,9 +403,19 @@ def _softmax_rows(x):
     return T._node(y, "softmax_rows", (x,), bw)
 
 
+def _bmm(a, b):
+    """The unfused chain's batched product: [B, M, K] x [B, K, N] -> [B, M, N]."""
+    ad, bd = a.data, b.data
+
+    def bw(g):
+        return g @ bd.transpose(0, 2, 1), ad.transpose(0, 2, 1) @ g
+
+    return T._node(np.matmul(ad, bd), "bmm", (a, b), bw)
+
+
 def _attention_chain(q, k, v, scale):
     """The unfused op chain ``attention`` replaces."""
-    return T.matmul(_softmax_rows(T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), scale)), v)
+    return _bmm(_softmax_rows(T.mul(_bmm(q, T.transpose(k, (0, 2, 1))), scale)), v)
 
 
 def _attention_run(op, arrays, proj):
@@ -766,7 +790,7 @@ class TestNoGrad:
         x = Tensor([1.0, -2.0], requires_grad=True)
         with T.no_grad():
             y = T.relu(T.mul(x, 3.0))
-        assert not y.requires_grad and y.is_leaf and y._fn is None
+        assert not y.requires_grad and y._fn is None
         assert np.array_equal(y.data, [3.0, 0.0])
         assert T.mul(x, 3.0).requires_grad
 
@@ -803,11 +827,11 @@ class TestGradCheck:
     def test_sigmoid(self):
         assert T.grad_check(T.sigmoid, Tensor([0.3]), h=1e-5) < 1e-6
 
-    def test_softmax_of_matmul(self, rng):
+    def test_softmax_of_linear(self, rng):
         w = Tensor(rng.standard_normal((4, 4)))
         eye = Tensor(np.eye(4)[None])  # attention with identity keys and values is the softmax
         err = T.grad_check(
-            lambda x: T.attention(T.reshape(T.matmul(x, w), (1, 4, 4)), eye, eye, 1.0),
+            lambda x: T.attention(T.linear(T.reshape(x, (1, 4, 4)), w), eye, eye, 1.0),
             Tensor(rng.standard_normal((4, 4))), h=1e-5)
         assert err < 1e-4
 
@@ -839,12 +863,12 @@ def _op_cases(rng):
     wd = rng.standard_normal((3, 3, 3))
     wm = rng.standard_normal((4, 4))
     bias = rng.standard_normal(4)
+    tokens = rng.standard_normal((2, 3, 4))
     return {
         "add": (lambda x: T.add(x, T.mul(x, 0.5)), (3, 4)),
         "mul": (lambda x: T.mul(x, T.add(x, 1.0)), (3, 4)),
         "relu": (lambda x: T.relu(x), (3, 4)),
         "sigmoid": (lambda x: T.sigmoid(x), (3, 4)),
-        "matmul": (lambda x: T.matmul(x, Tensor(wm)), (4, 4)),
         "conv2d": (lambda x: T.conv2d(x, Tensor(w2), (2, 2), (1, 1)), (2, 3, 5, 5)),
         "conv3d": (lambda x: T.conv3d(x, Tensor(w3), 2), (2, 3, 7, 2, 2)),
         "depthwise": (lambda x: T.depthwise_conv2d(x, Tensor(wd), (1, 1), (1, 1)), (2, 3, 4, 4)),
@@ -854,6 +878,10 @@ def _op_cases(rng):
         "transpose": (lambda x: T.transpose(x, (1, 0)), (3, 4)),
         "concat": (lambda x: T.concat([x, T.mul(x, 2.0)], axis=0), (2, 3)),
         "linear": (lambda x: T.linear(x, Tensor(wm), Tensor(bias)), (3, 4)),
+        "linear_no_bias": (lambda x: T.linear(x, Tensor(wm)), (4, 4)),
+        "linear_tokens": (lambda x: T.linear(x, Tensor(wm), Tensor(bias)), (2, 3, 4)),
+        "linear_tokens_weight": (lambda w: T.linear(Tensor(tokens), w, Tensor(bias)), (4, 4)),
+        "linear_tokens_bias": (lambda b: T.linear(Tensor(tokens), Tensor(wm), b), (4,)),
         "bce": (lambda x: T.bce_with_logits(x, np.array([1.0, 0.0, 1.0])), (3,)),
         "attention": (lambda x: T.attention(x, T.mul(x, 0.5), x, 0.7), (2, 3, 4)),
     }
