@@ -48,9 +48,9 @@ def param_grad_errors(loss_fn: Callable[[], Tensor],
 def tiny_detector_config(seed: int = 0, **overrides) -> DetectorConfig:
     """Double-precision, reduced-width config for gradient verification."""
     base = dict(
-        backbone=BackboneConfig(stem_widths=(3, 4, 6, 8), deep_widths=(8, 10), output_dim=24),
-        sbcm=SbcmConfig(widths=(3, 6, 8, 64)),
-        cnnf=CnnfConfig(widths=(192, 8, 8, 16), strides=(2, 2, 1)),
+        backbone=BackboneConfig(widths=(4, 6, 8, 10), output_dim=24),
+        sbcm=SbcmConfig(widths=(6, 8)),
+        cnnf=CnnfConfig(widths=(8, 8, 16), strides=(2, 2, 1)),
         faae=FaaeConfig(attn_dim=8, zero_init_out=False),
         hcma=HcmaConfig(embed_dim=32, heads=2, tokens=4),
         precision="double",

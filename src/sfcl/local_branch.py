@@ -37,43 +37,42 @@ def _depth_chain(start: int, kernels: Sequence[int], strides: Sequence[int]) -> 
 
 @dataclass
 class SbcmConfig:
-    """Three depth-only 3D conv layers reducing 64 bands to exactly 3."""
+    """Three depth-only 3D conv layers reducing 64 bands to exactly 3.
+
+    ``widths`` are the hidden widths only: the stack always reads the 3 colour
+    channels and ends at 64, so its flattened output is FREQ_CHANNELS wide.
+    """
     kernels: tuple = (7, 5, 3)
     strides: tuple = (3, 2, 2)
-    widths: tuple = (3, 16, 32, 64)
+    widths: tuple = (16, 32)
 
     def __post_init__(self):
-        if not (len(self.kernels) == len(self.strides) == len(self.widths) - 1):
-            raise ConfigError("kernels, strides and widths-1 must have equal length")
-        if self.widths[0] != 3:
-            raise ConfigError(f"input width must be 3 (Y, Cb, Cr), got {self.widths[0]}")
+        n = len(self.kernels)
+        if not (len(self.strides) == n == len(self.widths) + 1):
+            raise ConfigError(f"sbcm.kernels and sbcm.strides hold one entry per layer, sbcm.widths "
+                              f"the hidden widths between layers: expected {n}, {n} and {n - 1} "
+                              f"entries, got {n}, {len(self.strides)} and {len(self.widths)}")
         chain = _depth_chain(SBCM_INPUT_BANDS, self.kernels, self.strides)
         if chain[-1] != 3:
             raise ConfigError(
                 f"band-depth chain {chain} must end at 3 (kernels {self.kernels}, strides {self.strides})")
-        if self.widths[-1] != 64:
-            raise ConfigError(f"final channel width must be 64, got {self.widths[-1]}")
 
 
 @dataclass
 class CnnfConfig:
-    """Separable-conv stack on the FREQ_CHANNELS-wide flattened spectral map.
-
-    ``widths``/``strides`` describe the blocks; after global average pooling
-    the output length equals the last width (2048 by default).
-    """
-    widths: tuple = (192, 256, 728, 2048)
+    """Separable-conv blocks on the FREQ_CHANNELS-wide flattened spectral map: one
+    output width and one stride per block. The pooled output is the last width."""
+    widths: tuple = (256, 728, 2048)
     strides: tuple = (2, 2, 1)
 
     def __post_init__(self):
-        if len(self.widths) - 1 != len(self.strides):
-            raise ConfigError("widths-1 and strides must have equal length")
-        if self.widths[0] != FREQ_CHANNELS:
-            raise ConfigError(f"input channel width must be {FREQ_CHANNELS}, got {self.widths[0]}")
+        if len(self.widths) != len(self.strides):
+            raise ConfigError(f"cnnf.widths holds one output width per stride: expected "
+                              f"{len(self.strides)} entries, got {len(self.widths)}")
 
     @property
     def output_dim(self) -> int:
-        return self.widths[-1]
+        return ((FREQ_CHANNELS,) + self.widths)[-1]
 
 
 class Sbcm(Layer):
@@ -81,10 +80,10 @@ class Sbcm(Layer):
 
     def __init__(self, cfg: SbcmConfig, rng: np.random.Generator, dtype=np.float32):
         self.cfg = cfg
+        widths = (3,) + cfg.widths + (64,)  # Y, Cb, Cr in; 64 x depth 3 = FREQ_CHANNELS out
         for i, (k, s) in enumerate(zip(cfg.kernels, cfg.strides)):
-            setattr(self, f"conv{i}",
-                    Conv3dDepthLayer(cfg.widths[i], cfg.widths[i + 1], k, s, rng, dtype))
-            setattr(self, f"bn{i}", BatchNormLayer(cfg.widths[i + 1], dtype))
+            setattr(self, f"conv{i}", Conv3dDepthLayer(widths[i], widths[i + 1], k, s, rng, dtype))
+            setattr(self, f"bn{i}", BatchNormLayer(widths[i + 1], dtype))
 
     def forward(self, x: Tensor, mode: str = "infer") -> Tensor:
         if x.shape[-3] != SBCM_INPUT_BANDS:
@@ -113,12 +112,13 @@ class CnnF(Layer):
 
     def __init__(self, cfg: CnnfConfig, rng: np.random.Generator, dtype=np.float32):
         self.cfg = cfg
-        self.block = [SeparableBlock(cfg.widths[i], cfg.widths[i + 1], s, rng, dtype)
-                       for i, s in enumerate(cfg.strides)]
+        widths = (FREQ_CHANNELS,) + cfg.widths
+        self.block = [SeparableBlock(widths[i], widths[i + 1], s, rng, dtype)
+                      for i, s in enumerate(cfg.strides)]
 
     def forward(self, x: Tensor, mode: str = "infer") -> Tensor:
-        if x.shape[-3] != self.cfg.widths[0]:
-            raise ShapeError(f"expected {self.cfg.widths[0]} input channels, got shape {x.shape}")
+        if x.shape[-3] != FREQ_CHANNELS:
+            raise ShapeError(f"expected {FREQ_CHANNELS} input channels, got shape {x.shape}")
         for i, block in enumerate(self.block):
             if x.shape[-1] < 1 or x.shape[-2] < 1:
                 raise ConfigError(f"spatial dims collapsed before block {i}: shape {x.shape}")

@@ -116,10 +116,9 @@ def desk_detector_config(init_seed: int = 0, **overrides) -> DetectorConfig:
     shrinking widths so a full train/eval cycle takes minutes, not GPU-days.
     """
     base = dict(
-        backbone=BackboneConfig(stem_widths=(3, 16, 24, 32), deep_widths=(32, 48),
-                                output_dim=256),
-        sbcm=SbcmConfig(widths=(3, 8, 16, 64)),
-        cnnf=CnnfConfig(widths=(192, 64, 128, 256), strides=(2, 2, 1)),
+        backbone=BackboneConfig(widths=(16, 24, 32, 48), output_dim=256),
+        sbcm=SbcmConfig(widths=(8, 16)),
+        cnnf=CnnfConfig(widths=(64, 128, 256), strides=(2, 2, 1)),
         faae=FaaeConfig(attn_dim=32),
         hcma=HcmaConfig(embed_dim=256, heads=8, tokens=8),
         init_seed=init_seed,

@@ -40,9 +40,8 @@ _ZERO_ALLOWED = frozenset({"train.seed", "train.weight_decay", "synth.seed", "sy
 # mistyped width fails here and not in numpy's allocator: one 8192 x 8192
 # float64 weight is already 512 MiB.
 _WIDTH_MAX = 8192
-_WIDTHS = frozenset({"sbcm.widths", "cnnf.widths", "backbone.stem_widths",
-                     "backbone.deep_widths", "backbone.output_dim", "faae.attn_dim",
-                     "hcma.embed_dim"})
+_WIDTHS = frozenset({"sbcm.widths", "cnnf.widths", "backbone.widths", "backbone.output_dim",
+                     "faae.attn_dim", "hcma.embed_dim"})
 
 
 @dataclass
@@ -119,6 +118,6 @@ def load_run_config(path: Optional[str]) -> RunConfig:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise UsageError(f"{path}: invalid JSON ({exc})") from exc
     return run_config_from_dict(doc)

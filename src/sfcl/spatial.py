@@ -19,25 +19,22 @@ from .tensor import Tensor
 
 @dataclass
 class BackboneConfig:
-    """Stem (stride-8 total) and deep stages of the spatial CNN."""
-    stem_widths: tuple = (3, 32, 48, 64)
-    deep_widths: tuple = (64, 128, 256)
+    """Stage widths of the spatial CNN; the input is always 3 RGB channels.
+
+    The first three widths are the stride-2 stem stages (stride 8 in all),
+    whose last width FAAE reads; each later width is one deep stage.
+    """
+    widths: tuple = (32, 48, 64, 128, 256)
     output_dim: int = 1792
 
     def __post_init__(self):
-        if len(self.stem_widths) != 4:
-            raise ConfigError("stem needs exactly three stride-2 stages (four widths)")
-        if self.stem_widths[0] != 3:
-            raise ConfigError(f"stem input must be 3 channels, got {self.stem_widths[0]}")
-        if len(self.deep_widths) < 2:
-            raise ConfigError("deep stage needs at least two widths")
-        if self.deep_widths[0] != self.stem_widths[-1]:
-            raise ConfigError(
-                f"deep input width {self.deep_widths[0]} must match stem output {self.stem_widths[-1]}")
+        if len(self.widths) < 4:
+            raise ConfigError(f"backbone.widths holds 3 stem widths, then one per deep stage: "
+                              f"expected at least 4 entries, got {len(self.widths)}")
 
     @property
     def shallow_channels(self) -> int:
-        return self.stem_widths[-1]
+        return self.widths[2]
 
 
 class SpatialBackbone(Layer):
@@ -45,11 +42,10 @@ class SpatialBackbone(Layer):
 
     def __init__(self, cfg: BackboneConfig, rng: np.random.Generator, dtype=np.float32):
         self.cfg = cfg
-        self.stem = [ConvBnRelu(cfg.stem_widths[i], cfg.stem_widths[i + 1], 3, 2, 1, rng, dtype)
-                     for i in range(3)]
-        self.deep = [ConvBnRelu(cfg.deep_widths[i], cfg.deep_widths[i + 1], 3, 2, 1, rng, dtype)
-                     for i in range(len(cfg.deep_widths) - 1)]
-        self.head = LinearLayer(cfg.deep_widths[-1], cfg.output_dim, rng, dtype)
+        stages = [ConvBnRelu(c_in, c_out, 3, 2, 1, rng, dtype)
+                  for c_in, c_out in zip((3,) + cfg.widths, cfg.widths)]
+        self.stem, self.deep = stages[:3], stages[3:]
+        self.head = LinearLayer(cfg.widths[-1], cfg.output_dim, rng, dtype)
 
     def stem_forward(self, img: Tensor, mode: str = "infer") -> Tensor:
         """Pixels in [0,1], shape [N,3,H,W] with H,W divisible by 8 -> [N,C,H/8,W/8]."""

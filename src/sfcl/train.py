@@ -35,7 +35,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.weight_decay < 0:
+        if not (self.learning_rate >= 0 and self.weight_decay >= 0):  # NaN fails too
             raise ConfigError("learning rate and weight decay must be non-negative")
         if self.batch_size < 2:
             raise ConfigError("batch size must be at least 2 (batch-norm train mode)")
@@ -113,9 +113,10 @@ def _batches(n: int, batch_size: int, order: np.ndarray):
 
 def train(model: Detector, samples: Sequence[Sample], cfg: TrainConfig,
           frontend: Optional[FrontendBatch] = None) -> List[Dict]:
-    """Train in place; returns the per-epoch log [{epoch, loss, acc}, ...]."""
-    if len(samples) < 2:  # batch norm needs at least two samples in a batch
-        raise ConfigError(f"training needs at least 2 samples, got {len(samples)}")
+    """Train in place on ``frontend``, or else on ``samples``; returns the per-epoch log."""
+    n = len(samples) if frontend is None else len(frontend)  # counted before any frontend work
+    if n < 2:  # batch norm needs at least two samples in a batch
+        raise ConfigError(f"training needs at least 2 samples, got {n}")
     if frontend is None:
         frontend = extract_frontend([s.image for s in samples],
                                     [s.bbox for s in samples],

@@ -240,6 +240,14 @@ class TestRunConfig:
         assert run.detector.hcma.embed_dim == 1024
         assert run.train.batch_size == 20
 
+    @pytest.mark.parametrize("blob", [b'{"train": {"epochs": 1,', b"P6\n2 2\n255\n\xff\xfe"],
+                             ids=["cut_json", "not_utf8"])
+    def test_unreadable_file_is_usage_error(self, tmp_path, blob):
+        path = tmp_path / "c.json"
+        path.write_bytes(blob)
+        with pytest.raises(UsageError, match="invalid JSON"):
+            load_run_config(str(path))
+
     def test_unknown_top_key(self):
         with pytest.raises(UsageError, match="optimizer"):
             run_config_from_dict({"optimizer": {}})
@@ -271,7 +279,7 @@ class TestRunConfig:
         assert run.detector.hcma.token_dim == 16
 
     @pytest.mark.parametrize("section, key, value", [
-        ("hcma", "heads", 0), ("cnnf", "strides", [2, 0, 1]), ("sbcm", "widths", [3, -16, 32, 64]),
+        ("hcma", "heads", 0), ("cnnf", "strides", [2, 0, 1]), ("sbcm", "widths", [-16, 32]),
         ("train", "seed", -1), ("train", "weight_decay", -1e-8), ("train", "epochs", -3),
         ("train", "learning_rate", float("inf")), ("synth", "grain", float("-inf")),
         ("synth", "count", 0)])
@@ -286,8 +294,8 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("section, key, value", [
         ("backbone", "output_dim", 1 << 40), ("hcma", "embed_dim", 1 << 40),
-        ("cnnf", "widths", [192, 256, 728, 8193]), ("sbcm", "widths", [3, 16, 10 ** 6, 64]),
-        ("backbone", "stem_widths", [3, 32, 48, 8193]), ("backbone", "deep_widths", [64, 8193]),
+        ("cnnf", "widths", [256, 728, 8193]), ("sbcm", "widths", [16, 10 ** 6]),
+        ("backbone", "widths", [32, 48, 8193, 128]), ("backbone", "widths", [32, 48, 64, 8193]),
         ("faae", "attn_dim", 8193)])
     def test_widths_above_the_maximum(self, section, key, value):
         with pytest.raises(ConfigError, match=rf"'{section}\.{key}(\[\d\])?' must be <= 8192"):
@@ -312,7 +320,7 @@ class TestConfigKeys:
     KEYS = {
         "sbcm": ["kernels", "strides", "widths"],
         "cnnf": ["widths", "strides"],
-        "backbone": ["stem_widths", "deep_widths", "output_dim"],
+        "backbone": ["widths", "output_dim"],
         "faae": ["attn_dim", "zero_init_out"],
         "hcma": ["embed_dim", "heads", "tokens"],
         "train": ["learning_rate", "weight_decay", "batch_size", "epochs", "seed"],
@@ -323,7 +331,7 @@ class TestConfigKeys:
         got = {name: [f.name for f in dataclasses.fields(cls)]
                for name, cls in runconfig._SECTIONS.items()}
         assert got == self.KEYS
-        assert sum(map(len, got.values())) == 25
+        assert sum(map(len, got.values())) == 24
 
     def test_every_key_loads_into_its_section(self):
         for name, cls in runconfig._SECTIONS.items():
@@ -359,11 +367,23 @@ class TestPublicNames:
         assert len(got) == 55
 
 
+# The desk profile as README gave it before the width lists dropped their
+# built-in entries and the backbone's two lists merged.
+OLD_DESK_CONFIG = {
+    "backbone": {"stem_widths": [3, 16, 24, 32], "deep_widths": [32, 48], "output_dim": 256},
+    "sbcm": {"widths": [3, 8, 16, 64]},
+    "cnnf": {"widths": [192, 64, 128, 256], "strides": [2, 2, 1]},
+    "faae": {"attn_dim": 32},
+    "hcma": {"embed_dim": 256, "heads": 8, "tokens": 8},
+    "train": {"epochs": 10, "batch_size": 20, "seed": 2},
+}
+
+
 def _tiny_config(tmp_path):
     doc = {
-        "backbone": {"stem_widths": [3, 4, 6, 8], "deep_widths": [8, 10], "output_dim": 16},
-        "sbcm": {"widths": [3, 6, 8, 64]},
-        "cnnf": {"widths": [192, 8, 8, 16], "strides": [2, 2, 1]},
+        "backbone": {"widths": [4, 6, 8, 10], "output_dim": 16},
+        "sbcm": {"widths": [6, 8]},
+        "cnnf": {"widths": [8, 8, 16], "strides": [2, 2, 1]},
         "faae": {"attn_dim": 8},
         "hcma": {"embed_dim": 32, "heads": 2, "tokens": 4},
         "train": {"epochs": 1, "batch_size": 4, "seed": 3},
@@ -621,10 +641,19 @@ class TestCli:
         (section, fields), = doc.items()
         assert f"'{section}.{next(iter(fields))}'" in err["message"]
 
-    def test_train_bad_sbcm_width_fails_before_reading_images(self, tmp_path, capsys,
-                                                              monkeypatch):
+    @pytest.mark.parametrize("doc, key", [
+        (OLD_DESK_CONFIG, "backbone.stem_widths"),
+        ({"sbcm": {"widths": [3, 16, 32, 64]}}, "sbcm.widths"),
+        ({"cnnf": {"widths": [192, 256, 728, 2048]}}, "cnnf.widths"),
+        ({"backbone": {"stem_widths": [3, 32, 48, 64]}}, "backbone.stem_widths"),
+        ({"backbone": {"deep_widths": [64, 128, 256]}}, "backbone.deep_widths")],
+        ids=["old_readme_desk_block", "old_sbcm_widths", "old_cnnf_widths",
+             "old_stem_widths", "old_deep_widths"])
+    def test_train_old_width_format_fails_before_reading_images(self, tmp_path, capsys,
+                                                                monkeypatch, doc, key):
+        # width lists that spelled out the built-in 3, 64 and 192 channels
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"sbcm": {"widths": [4, 8, 16, 64]}}))
+        cfg.write_text(json.dumps(doc))
         data = str(tmp_path / "data")
         synth_generate(SynthConfig(count=2, height=16, width=16, seed=1), out_dir=data)
 
@@ -638,8 +667,7 @@ class TestCli:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         err = json.loads(lines[0])
-        assert err["type"] == "ConfigError"
-        assert "input width must be 3" in err["message"] and "got 4" in err["message"]
+        assert err["error"] == "usage" and key in err["message"]
         assert not (tmp_path / "m.sfcl").exists()
 
     def test_model_flags_replace_config_fields(self, tmp_path):

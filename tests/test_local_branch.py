@@ -19,9 +19,13 @@ class TestSbcmConfig:
         with pytest.raises(ConfigError):
             SbcmConfig(strides=(3, 2, 3))
 
-    def test_final_width_must_be_64(self):
-        with pytest.raises(ConfigError):
-            SbcmConfig(widths=(3, 16, 32, 48))
+    def test_widths_are_the_hidden_widths_only(self, rng):
+        with pytest.raises(ConfigError, match=r"sbcm\.widths .* expected 3, 3 and 2 entries, "
+                                              r"got 3, 3 and 4"):
+            SbcmConfig(widths=(3, 16, 32, 64))  # the input and output widths are built in
+        sbcm = Sbcm(SbcmConfig(widths=(6, 8)), rng, np.float64)
+        assert [sbcm.conv0.w.shape[:2], sbcm.conv1.w.shape[:2], sbcm.conv2.w.shape[:2]] == \
+            [(6, 3), (8, 6), (64, 8)]
 
 
 class TestSbcmForward:
@@ -41,7 +45,7 @@ class TestSbcmForward:
             sbcm.forward(Tensor(np.zeros((1, 3, 32, 4, 4))))
 
     def test_never_mixes_spatial_positions(self, rng):
-        sbcm = Sbcm(SbcmConfig(widths=(3, 6, 8, 64)), rng, np.float64)
+        sbcm = Sbcm(SbcmConfig(widths=(6, 8)), rng, np.float64)
         x = rng.standard_normal((1, 3, 64, 3, 3))
         y = x.copy()
         y[:, :, :, 1, 2] += 1.5
@@ -82,7 +86,7 @@ class TestCnnF:
         assert out.shape == (2, 2048)
 
     def test_constant_input_finite(self, rng):
-        net = CnnF(CnnfConfig(widths=(192, 16, 16, 32), strides=(2, 2, 1)), rng, np.float64)
+        net = CnnF(CnnfConfig(widths=(16, 16, 32), strides=(2, 2, 1)), rng, np.float64)
         out = net.forward(Tensor(np.full((1, 192, 4, 4), 3.0)), mode="infer")
         assert np.isfinite(out.data).all()
 
@@ -91,9 +95,9 @@ class TestCnnF:
         with pytest.raises(ShapeError):
             net.forward(Tensor(np.zeros((1, 64, 8, 8))))
 
-    def test_input_width_must_be_192(self):
-        with pytest.raises(ConfigError):
-            CnnfConfig(widths=(128, 64, 32), strides=(2, 2))
+    def test_one_width_per_stride(self):
+        with pytest.raises(ConfigError, match=r"cnnf\.widths .* expected 3 entries, got 4"):
+            CnnfConfig(widths=(192, 256, 728, 2048))  # the 192 input channels are built in
 
     def test_global_pool_is_permutation_invariant(self, rng):
         x = rng.standard_normal((2, 5, 4, 4))

@@ -98,8 +98,7 @@ class TestEvaluate:
 
 class TestConfigValidation:
     def test_fusion_widths_follow_a_changed_backbone(self, rng):
-        backbone = BackboneConfig(stem_widths=(3, 8, 12, 16), deep_widths=(16, 24),
-                                  output_dim=64)
+        backbone = BackboneConfig(widths=(8, 12, 16, 24), output_dim=64)
         model = Detector(desk_detector_config(backbone=backbone))
         assert model.faae.q_s.w.shape == (16, 32) and model.faae.out.w.shape == (16, 16)
         assert model.hcma.proj_s.w.shape == (64, 256)

@@ -33,9 +33,16 @@ class TestBackbone:
         with pytest.raises(ShapeError):
             net.stem_forward(Tensor(np.zeros((1, 3, 60, 64))))
 
-    def test_deep_width_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            BackboneConfig(stem_widths=(3, 16, 24, 32), deep_widths=(64, 128))
+    def test_widths_need_three_stem_stages_and_a_deep_one(self):
+        with pytest.raises(ConfigError, match=r"backbone\.widths .* at least 4 entries, got 3"):
+            BackboneConfig(widths=(16, 24, 32))
+
+    def test_stages_chain_from_rgb_through_one_width_list(self, rng):
+        net = SpatialBackbone(BackboneConfig(widths=(4, 6, 8, 10, 12), output_dim=5), rng,
+                              np.float64)
+        assert [s.conv.w.shape[:2] for s in net.stem] == [(4, 3), (6, 4), (8, 6)]
+        assert [s.conv.w.shape[:2] for s in net.deep] == [(10, 8), (12, 10)]
+        assert net.head.w.shape == (12, 5) and net.cfg.shallow_channels == 8
 
     def test_pooled_features_permutation_invariant(self, rng):
         x = rng.standard_normal((1, 7, 3, 3))

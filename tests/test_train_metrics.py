@@ -247,6 +247,26 @@ class TestTraining:
         with pytest.raises(ConfigError):
             train(model, [], TrainConfig())
 
+    def test_given_frontend_trains_without_samples(self):
+        samples = _tiny_samples(2, 13)
+        model = Detector(tiny_detector_config(0))
+        frontend = extract_frontend([s.image for s in samples], dtype=model.cfg.dtype,
+                                    labels=[s.label for s in samples])
+        log = train(model, (), TrainConfig(batch_size=4, epochs=1), frontend=frontend)
+        assert len(log) == 1 and math.isfinite(log[0]["loss"])
+
+    def test_one_row_frontend_rejected_whatever_the_samples(self):
+        samples = _tiny_samples(2, 14)
+        model = Detector(tiny_detector_config(0))
+        frontend = extract_frontend([samples[0].image], dtype=model.cfg.dtype, labels=[0])
+        with pytest.raises(ConfigError, match="at least 2 samples, got 1"):
+            train(model, samples, TrainConfig(batch_size=4, epochs=1), frontend=frontend)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
+    def test_nan_rate_rejected(self, field):
+        with pytest.raises(ConfigError, match="non-negative"):
+            TrainConfig(**{field: float("nan")})
+
     def test_evaluate_orders_by_sample_index(self):
         samples = _tiny_samples(3, 11)
         model = Detector(tiny_detector_config(0))
