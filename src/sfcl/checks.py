@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .fusion import Classifier, Faae, FaaeConfig, Hcma, HcmaConfig
-from .layers import LinearLayer
+from .layers import LinearLayer, he_normal
 from .local_branch import CnnF, CnnfConfig, Sbcm, SbcmConfig
 from .model import Detector, DetectorConfig, extract_frontend
 from .frequency import PlanarImage
@@ -50,14 +50,20 @@ def tiny_detector_config(seed: int = 0, **overrides) -> DetectorConfig:
     base = dict(
         backbone=BackboneConfig(widths=(4, 6, 8, 10), output_dim=24),
         sbcm=SbcmConfig(widths=(6, 8)),
-        cnnf=CnnfConfig(widths=(8, 8, 16), strides=(2, 2, 1)),
-        faae=FaaeConfig(attn_dim=8, zero_init_out=False),
+        cnnf=CnnfConfig(widths=(8, 8, 16)),
+        faae=FaaeConfig(attn_dim=8),
         hcma=HcmaConfig(embed_dim=32, heads=2, tokens=4),
         precision="double",
         init_seed=seed,
     )
     base.update(overrides)
     return DetectorConfig(**base)
+
+
+def _open_faae(faae: Faae, rng: np.random.Generator) -> None:
+    """Draw FAAE's zero output projection, so gradient reaches the weights behind it."""
+    d = faae.out.w.shape[0]
+    faae.out.w.data = he_normal(rng, (d, d), d, np.float64)
 
 
 def _batch(x: Tensor, mate) -> Tensor:
@@ -114,7 +120,8 @@ def _backbone(rng):
 
 
 def _faae(rng):
-    module = Faae(FaaeConfig(zero_init_out=False), 64, rng, np.float64)
+    module = Faae(FaaeConfig(), 64, rng, np.float64)
+    _open_faae(module, rng)
     xf = rng.standard_normal((192, 2, 2))
     xs = rng.standard_normal((64, 2, 2))
     xf_mate = rng.standard_normal((192, 2, 2))
@@ -151,6 +158,7 @@ def _classifier(rng):
 def check_end_to_end(seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     model = Detector(tiny_detector_config(seed))
+    _open_faae(model.faae, rng)
     images = [PlanarImage(rng.uniform(0, 255, (3, 16, 16)), "rgb") for _ in range(2)]
     batch = extract_frontend(images, dtype=np.float64, labels=[0, 1])
     y = batch.labels.astype(np.float64)

@@ -173,6 +173,9 @@ def _cmd_extract_spectra(args) -> int:
 
 
 def _cmd_features_sida(args) -> int:
+    if args.manifest and args.bboxes:
+        raise UsageError("features-sida takes --bboxes or --manifest, not both: "
+                         "a manifest gives each image's box in its bbox field")
     if args.manifest:
         records = load_dataset_manifest(args.manifest)
         entries = [(f, lab, bb) for f, lab, bb in records]
@@ -290,8 +293,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-sida-gate", dest="use_sida_gate", action="store_false",
                    default=DetectorConfig.use_sida_gate, help="disable the descriptor gate")
     p.add_argument("--precision", choices=PRECISIONS, default=DetectorConfig.precision)
-    p.add_argument("--init-seed", type=_seed, default=DetectorConfig.init_seed,
-                   help="parameter init seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,6 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the detector on a dataset directory")
     _add_model_flags(p)
+    p.add_argument("--init-seed", type=_seed, default=DetectorConfig.init_seed,
+                   help="parameter init seed")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--log", help="JSONL per-epoch training log")

@@ -40,8 +40,7 @@ def _untokens(t: Tensor, h: int, w: int) -> Tensor:
 @dataclass
 class FaaeConfig:
     """Shallow fusion settings; its input widths are the branches' own."""
-    attn_dim: int = 64          # per-modality projection width d_a
-    zero_init_out: bool = True  # zero output projection => exact identity at start
+    attn_dim: int = 64  # per-modality projection width d_a
 
 
 class Faae(Layer):
@@ -60,7 +59,8 @@ class Faae(Layer):
         self.k_f = LinearLayer(cf, ca, rng, dtype, bias=False)
         self.k_s = LinearLayer(cs, ca, rng, dtype, bias=False)
         self.v_f = LinearLayer(cf, cs, rng, dtype, bias=False)
-        self.out = LinearLayer(cs, cs, rng, dtype, bias=False, zero_init=cfg.zero_init_out)
+        # zero output projection: FAAE is the exact identity at start
+        self.out = LinearLayer(cs, cs, rng, dtype, bias=False, zero_init=True)
         self.bn = BatchNormLayer(cs, dtype)
         self.gamma_s = Tensor(np.zeros((), dtype=dtype), requires_grad=True)
 

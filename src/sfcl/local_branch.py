@@ -10,7 +10,6 @@ turns into a fixed-length feature vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
 
 import numpy as np
 
@@ -22,73 +21,56 @@ from .tensor import Tensor
 
 SBCM_INPUT_BANDS = 64
 FREQ_CHANNELS = 192  # SBCM output flattened: 64 channels x depth 3
-
-
-def _depth_chain(start: int, kernels: Sequence[int], strides: Sequence[int]) -> List[int]:
-    chain = [start]
-    d = start
-    for k, s in zip(kernels, strides):
-        if k > d:
-            raise ConfigError(f"band kernel {k} exceeds remaining depth {d}")
-        d = (d - k) // s + 1
-        chain.append(d)
-    return chain
+SBCM_KERNELS = (7, 5, 3)  # band kernels, with SBCM_STRIDES: 64 -> 20 -> 8 -> 3 bands
+SBCM_STRIDES = (3, 2, 2)
+CNNF_STRIDES = (2, 2, 1)
 
 
 @dataclass
 class SbcmConfig:
-    """Three depth-only 3D conv layers reducing 64 bands to exactly 3.
+    """The hidden widths of the three band convolutions.
 
-    ``widths`` are the hidden widths only: the stack always reads the 3 colour
-    channels and ends at 64, so its flattened output is FREQ_CHANNELS wide.
+    The stack always reads the 3 colour channels and ends at 64, so its
+    flattened output is FREQ_CHANNELS wide.
     """
-    kernels: tuple = (7, 5, 3)
-    strides: tuple = (3, 2, 2)
     widths: tuple = (16, 32)
 
     def __post_init__(self):
-        n = len(self.kernels)
-        if not (len(self.strides) == n == len(self.widths) + 1):
-            raise ConfigError(f"sbcm.kernels and sbcm.strides hold one entry per layer, sbcm.widths "
-                              f"the hidden widths between layers: expected {n}, {n} and {n - 1} "
-                              f"entries, got {n}, {len(self.strides)} and {len(self.widths)}")
-        chain = _depth_chain(SBCM_INPUT_BANDS, self.kernels, self.strides)
-        if chain[-1] != 3:
-            raise ConfigError(
-                f"band-depth chain {chain} must end at 3 (kernels {self.kernels}, strides {self.strides})")
+        if len(self.widths) != len(SBCM_KERNELS) - 1:
+            raise ConfigError(f"sbcm.widths holds the hidden widths between the {len(SBCM_KERNELS)} "
+                              f"band convolutions: expected {len(SBCM_KERNELS) - 1} entries, "
+                              f"got {len(self.widths)}")
 
 
 @dataclass
 class CnnfConfig:
     """Separable-conv blocks on the FREQ_CHANNELS-wide flattened spectral map: one
-    output width and one stride per block. The pooled output is the last width."""
+    output width per block (strides CNNF_STRIDES). The pooled output is the last width."""
     widths: tuple = (256, 728, 2048)
-    strides: tuple = (2, 2, 1)
 
     def __post_init__(self):
-        if len(self.widths) != len(self.strides):
-            raise ConfigError(f"cnnf.widths holds one output width per stride: expected "
-                              f"{len(self.strides)} entries, got {len(self.widths)}")
+        if len(self.widths) != len(CNNF_STRIDES):
+            raise ConfigError(f"cnnf.widths holds one output width per block: expected "
+                              f"{len(CNNF_STRIDES)} entries, got {len(self.widths)}")
 
     @property
     def output_dim(self) -> int:
-        return ((FREQ_CHANNELS,) + self.widths)[-1]
+        return self.widths[-1]
 
 
 class Sbcm(Layer):
     """Stacked band convolutions: [N,3,64,Hb,Wb] -> [N,64,3,Hb,Wb]."""
 
     def __init__(self, cfg: SbcmConfig, rng: np.random.Generator, dtype=np.float32):
-        self.cfg = cfg
         widths = (3,) + cfg.widths + (64,)  # Y, Cb, Cr in; 64 x depth 3 = FREQ_CHANNELS out
-        for i, (k, s) in enumerate(zip(cfg.kernels, cfg.strides)):
+        for i, (k, s) in enumerate(zip(SBCM_KERNELS, SBCM_STRIDES)):
             setattr(self, f"conv{i}", Conv3dDepthLayer(widths[i], widths[i + 1], k, s, rng, dtype))
             setattr(self, f"bn{i}", BatchNormLayer(widths[i + 1], dtype))
 
     def forward(self, x: Tensor, mode: str = "infer") -> Tensor:
         if x.shape[-3] != SBCM_INPUT_BANDS:
             raise ShapeError(f"band axis must be {SBCM_INPUT_BANDS}, got input shape {x.shape}")
-        for i in range(len(self.cfg.kernels)):
+        for i in range(len(SBCM_KERNELS)):
             x = getattr(self, f"conv{i}").forward(x)
             x = T.relu(getattr(self, f"bn{i}").forward(x, mode))
         return x
@@ -111,10 +93,9 @@ class CnnF(Layer):
     """Separable-conv frequency network: [N,192,Hb,Wb] -> [N, output_dim]."""
 
     def __init__(self, cfg: CnnfConfig, rng: np.random.Generator, dtype=np.float32):
-        self.cfg = cfg
         widths = (FREQ_CHANNELS,) + cfg.widths
         self.block = [SeparableBlock(widths[i], widths[i + 1], s, rng, dtype)
-                      for i, s in enumerate(cfg.strides)]
+                      for i, s in enumerate(CNNF_STRIDES)]
 
     def forward(self, x: Tensor, mode: str = "infer") -> Tensor:
         if x.shape[-3] != FREQ_CHANNELS:

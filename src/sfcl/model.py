@@ -18,7 +18,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, InputError, UsageError
+from .errors import ConfigError, FormatError, InputError, UsageError
 from .frequency import BoundingBox, PlanarImage, crop_to_grid, restructure
 from .fusion import Classifier, Faae, FaaeConfig, Hcma, HcmaConfig
 from .layers import Layer
@@ -118,7 +118,7 @@ def desk_detector_config(init_seed: int = 0, **overrides) -> DetectorConfig:
     base = dict(
         backbone=BackboneConfig(widths=(16, 24, 32, 48), output_dim=256),
         sbcm=SbcmConfig(widths=(8, 16)),
-        cnnf=CnnfConfig(widths=(64, 128, 256), strides=(2, 2, 1)),
+        cnnf=CnnfConfig(widths=(64, 128, 256)),
         faae=FaaeConfig(attn_dim=32),
         hcma=HcmaConfig(embed_dim=256, heads=8, tokens=8),
         init_seed=init_seed,
@@ -191,18 +191,21 @@ class Detector(Layer):
         return out
 
     def load_state_arrays(self, state: Dict[str, np.ndarray]) -> None:
+        """Assign every tensor of ``state``, or none: each name, shape and value is
+        checked first, so a refused state leaves the model as it was."""
         own = self.state_arrays()
         missing = [k for k in own if k not in state]
         extra = [k for k in state if k not in own]
         if missing or extra:
-            raise InputError(f"model state mismatch: missing {missing[:3]}, unexpected {extra[:3]}")
+            raise FormatError(f"model state mismatch: missing {missing[:3]}, unexpected {extra[:3]}")
+        for name, current in own.items():
+            value = state[name]
+            if value.shape != current.shape:
+                raise FormatError(f"{name}: stored shape {value.shape} != model shape {current.shape}")
+            with np.errstate(over="ignore"):  # a float64 beyond float32's range casts to inf
+                if not np.isfinite(value.astype(current.dtype, copy=False)).all():
+                    raise FormatError(f"{name}: stored values are not all finite as {current.dtype}")
         for name, t in self.trainables():
-            value = state[name]
-            if value.shape != t.data.shape:
-                raise InputError(f"{name}: stored shape {value.shape} != model shape {t.data.shape}")
-            t.data = value.astype(t.data.dtype, copy=True)
+            t.data = state[name].astype(t.data.dtype, copy=True)
         for name, buf in self.buffers():
-            value = state[name]
-            if value.shape != buf.shape:
-                raise InputError(f"{name}: stored shape {value.shape} != model shape {buf.shape}")
-            buf[...] = value.astype(buf.dtype)
+            buf[...] = state[name].astype(buf.dtype)

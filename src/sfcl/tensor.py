@@ -215,15 +215,11 @@ def _node(data: np.ndarray, op: str, parents: Sequence[Tensor],
     return out
 
 
-def _coerce_operand(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    if isinstance(x, (int, float, np.floating, np.integer)):
-        return Tensor(np.asarray(x, dtype=like.dtype))
-    raise UsageError(f"cannot use {type(x).__name__} as a tensor operand")
-
-
 def _check_same_precision(op: str, *tensors: Tensor) -> None:
+    """Raise unless every operand is a tensor and all share one precision."""
+    for t in tensors:
+        if not isinstance(t, Tensor):
+            raise UsageError(f"{op}: operands must be tensors, got {type(t).__name__}")
     dtypes = {t.dtype for t in tensors}
     if len(dtypes) > 1:
         raise UsageError(f"{op}: operands mix precisions {sorted(str(d) for d in dtypes)}")
@@ -245,9 +241,7 @@ def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
 # -- elementwise ops ----------------------------------------------------
 
 
-def add(a: Tensor, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _coerce_operand(a, b)
-    b = _coerce_operand(b, a)
+def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_precision("add", a, b)
     _check_broadcast("add", a, b)
     sa, sb = a.shape, b.shape
@@ -258,9 +252,7 @@ def add(a: Tensor, b) -> Tensor:
     return _node(a.data + b.data, "add", (a, b), bw)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _coerce_operand(a, b)
-    b = _coerce_operand(b, a)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_precision("mul", a, b)
     _check_broadcast("mul", a, b)
     ad, bd = a.data, b.data

@@ -17,6 +17,7 @@ from sfcl import tensor as T
 from sfcl.checks import CHECKS, GRAD_TOL, tiny_detector_config
 from sfcl.frequency import PlanarImage
 from sfcl.fusion import Faae, FaaeConfig, Hcma, HcmaConfig
+from sfcl.layers import he_normal
 from sfcl.metrics import metric_accuracy, metric_auc
 from sfcl.model import Detector, desk_detector_config
 from sfcl.modelfile import load_model, save_model
@@ -154,7 +155,8 @@ def test_c07_attention_contracts():
         worst_row = max(worst_row, np.abs(alpha.data.sum(axis=-1) - 1).max())
         assert (alpha.data >= 0).all()
 
-    closed = Faae(FaaeConfig(zero_init_out=False), 64, rng, np.float64)
+    closed = Faae(FaaeConfig(), 64, rng, np.float64)
+    closed.out.w.data = he_normal(rng, (64, 64), 64, np.float64)
     closed.gamma_s.data = np.array(-30.0)
     x_s = Tensor(rng.standard_normal((2, 64, 2, 2)))
     x_f = Tensor(rng.standard_normal((2, 192, 2, 2)))

@@ -137,7 +137,7 @@ _QUICK_MODULES = ["classifier", "e2e", "gate", "hcma"]
 _TINY_CONFIG = {
     "backbone": {"widths": [4, 6, 8, 10], "output_dim": 16},
     "sbcm": {"widths": [6, 8]},
-    "cnnf": {"widths": [8, 8, 16], "strides": [2, 2, 1]},
+    "cnnf": {"widths": [8, 8, 16]},
     "faae": {"attn_dim": 8},
     "hcma": {"embed_dim": 32, "heads": 2, "tokens": 4},
     "train": {"epochs": 1, "batch_size": 4},

@@ -261,12 +261,10 @@ class TestRunConfig:
             run_config_from_dict({"train": {"epochs": "ten"}})
         with pytest.raises(UsageError, match=r"train\.batch_size.*int"):
             run_config_from_dict({"train": {"batch_size": True}})
-        with pytest.raises(UsageError, match=r"sbcm\.kernels\[1\].*int"):
-            run_config_from_dict({"sbcm": {"kernels": [7, "5", 3]}})
-        with pytest.raises(UsageError, match=r"sbcm\.kernels.*list"):
-            run_config_from_dict({"sbcm": {"kernels": 7}})
-        with pytest.raises(UsageError, match=r"faae\.zero_init_out.*bool"):
-            run_config_from_dict({"faae": {"zero_init_out": 1}})
+        with pytest.raises(UsageError, match=r"sbcm\.widths\[1\].*int"):
+            run_config_from_dict({"sbcm": {"widths": [16, "32"]}})
+        with pytest.raises(UsageError, match=r"sbcm\.widths.*list"):
+            run_config_from_dict({"sbcm": {"widths": 16}})
 
     def test_int_accepted_for_float(self):
         run = run_config_from_dict({"train": {"learning_rate": 1}})
@@ -279,7 +277,7 @@ class TestRunConfig:
         assert run.detector.hcma.token_dim == 16
 
     @pytest.mark.parametrize("section, key, value", [
-        ("hcma", "heads", 0), ("cnnf", "strides", [2, 0, 1]), ("sbcm", "widths", [-16, 32]),
+        ("hcma", "heads", 0), ("cnnf", "widths", [256, 0, 2048]), ("sbcm", "widths", [-16, 32]),
         ("train", "seed", -1), ("train", "weight_decay", -1e-8), ("train", "epochs", -3),
         ("train", "learning_rate", float("inf")), ("synth", "grain", float("-inf")),
         ("synth", "count", 0)])
@@ -308,7 +306,8 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("section, key", [
         ("faae", "spatial_channels"), ("faae", "freq_channels"),
-        ("hcma", "spatial_dim"), ("hcma", "freq_dim"), ("sbcm", "batchnorm")])
+        ("hcma", "spatial_dim"), ("hcma", "freq_dim"), ("sbcm", "batchnorm"),
+        ("sbcm", "kernels"), ("sbcm", "strides"), ("cnnf", "strides"), ("faae", "zero_init_out")])
     def test_derived_and_removed_keys_are_unknown(self, section, key):
         with pytest.raises(UsageError, match=rf"unknown config key '{section}\.{key}'"):
             run_config_from_dict({section: {key: 1}})
@@ -318,10 +317,10 @@ class TestConfigKeys:
     """Every JSON key each config section accepts; a change here changes the file format."""
 
     KEYS = {
-        "sbcm": ["kernels", "strides", "widths"],
-        "cnnf": ["widths", "strides"],
+        "sbcm": ["widths"],
+        "cnnf": ["widths"],
         "backbone": ["widths", "output_dim"],
-        "faae": ["attn_dim", "zero_init_out"],
+        "faae": ["attn_dim"],
         "hcma": ["embed_dim", "heads", "tokens"],
         "train": ["learning_rate", "weight_decay", "batch_size", "epochs", "seed"],
         "synth": ["count", "height", "width", "seed", "recipe", "grain", "smooth_passes"],
@@ -331,7 +330,7 @@ class TestConfigKeys:
         got = {name: [f.name for f in dataclasses.fields(cls)]
                for name, cls in runconfig._SECTIONS.items()}
         assert got == self.KEYS
-        assert sum(map(len, got.values())) == 24
+        assert sum(map(len, got.values())) == 20
 
     def test_every_key_loads_into_its_section(self):
         for name, cls in runconfig._SECTIONS.items():
@@ -368,11 +367,20 @@ class TestPublicNames:
 
 
 # The desk profile as README gave it before the width lists dropped their
-# built-in entries and the backbone's two lists merged.
+# built-in entries and the backbone's two lists merged, and as it gave it
+# before the CNN-F strides became a constant.
 OLD_DESK_CONFIG = {
     "backbone": {"stem_widths": [3, 16, 24, 32], "deep_widths": [32, 48], "output_dim": 256},
     "sbcm": {"widths": [3, 8, 16, 64]},
     "cnnf": {"widths": [192, 64, 128, 256], "strides": [2, 2, 1]},
+    "faae": {"attn_dim": 32},
+    "hcma": {"embed_dim": 256, "heads": 8, "tokens": 8},
+    "train": {"epochs": 10, "batch_size": 20, "seed": 2},
+}
+STRIDES_DESK_CONFIG = {
+    "backbone": {"widths": [16, 24, 32, 48], "output_dim": 256},
+    "sbcm": {"widths": [8, 16]},
+    "cnnf": {"widths": [64, 128, 256], "strides": [2, 2, 1]},
     "faae": {"attn_dim": 32},
     "hcma": {"embed_dim": 256, "heads": 8, "tokens": 8},
     "train": {"epochs": 10, "batch_size": 20, "seed": 2},
@@ -383,7 +391,7 @@ def _tiny_config(tmp_path):
     doc = {
         "backbone": {"widths": [4, 6, 8, 10], "output_dim": 16},
         "sbcm": {"widths": [6, 8]},
-        "cnnf": {"widths": [8, 8, 16], "strides": [2, 2, 1]},
+        "cnnf": {"widths": [8, 8, 16]},
         "faae": {"attn_dim": 8},
         "hcma": {"embed_dim": 32, "heads": 2, "tokens": 4},
         "train": {"epochs": 1, "batch_size": 4, "seed": 3},
@@ -444,6 +452,24 @@ class TestCli:
         header = open(csv_labeled).readline().rstrip("\n").split(",")
         assert len(header) == 2306  # file + label + 2304 bands
         capsys.readouterr()
+
+    def test_features_sida_refuses_bboxes_with_manifest(self, tmp_path, capsys):
+        data = str(tmp_path / "imgs")
+        samples = synth_generate(SynthConfig(count=2, height=16, width=16, seed=1),
+                                 out_dir=data)
+        boxes = tmp_path / "boxes.json"
+        boxes.write_text(json.dumps(
+            [{"file": s.file, "x": 0, "y": 0, "w": 8, "h": 8} for s in samples]))
+        out = tmp_path / "d.csv"
+        capsys.readouterr()
+        code = cli.main(["features-sida", "--images", data, "--bboxes", str(boxes),
+                         "--manifest", os.path.join(data, "manifest.json"), "--out", str(out)])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["type"] == "UsageError" and "--bboxes or --manifest" in err["message"]
+        assert not out.exists()
 
     def test_export_heatmap_constant_image(self, tmp_path, capsys):
         img = tmp_path / "gray.ppm"
@@ -523,10 +549,9 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["dataset-synth", "--out", "{tmp}/d", "--seed", "-1"],
         ["train", "--data", "{tmp}/d", "--out", "{tmp}/m.sfcl", "--init-seed", "-1"],
-        ["eval", "--data", "{tmp}/d", "--model", "{tmp}/m.sfcl", "--init-seed", "-1"],
         ["gradcheck", "--module", "hcma", "--seed", "-1"],
         ["gradcheck", "--module", "hcma", "--seed", "x"],
-    ], ids=["dataset-synth", "train", "eval", "gradcheck", "gradcheck_not_int"])
+    ], ids=["dataset-synth", "train", "gradcheck", "gradcheck_not_int"])
     def test_bad_seed_is_usage_error(self, tmp_path, capsys, argv):
         code = cli.main([a.format(tmp=tmp_path) for a in argv])
         assert code == 1
@@ -536,6 +561,15 @@ class TestCli:
         assert err["type"] == "UsageError"
         assert "seed" in err["message"] and "non-negative integer" in err["message"]
         assert not os.listdir(tmp_path)
+
+    def test_eval_takes_no_init_seed(self, tmp_path, capsys):
+        # eval loads every parameter from the model file, so no init seed reaches it
+        code = cli.main(["eval", "--data", str(tmp_path / "d"), "--model", str(tmp_path / "m.sfcl"),
+                         "--init-seed", "1"])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "unrecognized arguments: --init-seed 1" in json.loads(lines[0])["message"]
 
     def test_gradcheck_wrong_backward_exits_3(self, capsys, skewed_sigmoid):
         assert cli.main(["gradcheck", "--module", "gate"]) == 3
@@ -599,6 +633,26 @@ class TestCli:
         assert len(lines) == 1
         assert json.loads(lines[0])["type"] == "FormatError"
 
+    @pytest.mark.parametrize("fusion_mode", ["hierarchical", "concat"])
+    def test_eval_non_finite_model_is_format_error(self, tmp_path, capsys, fusion_mode):
+        cfg = _tiny_config(tmp_path)
+        data = str(tmp_path / "data")
+        model = str(tmp_path / "m.sfcl")
+        flags = ["--config", cfg, "--data", data, "--fusion-mode", fusion_mode]
+        assert cli.main(["dataset-synth", "--out", data, "--config", cfg]) == 0
+        assert cli.main(["train", *flags, "--out", model]) == 0
+        state = load_model(model)
+        state["model.classifier.head.b"][0] = np.nan
+        save_model(model, state)
+        capsys.readouterr()
+        code = cli.main(["eval", *flags, "--model", model])
+        assert code == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and not captured.out
+        err = json.loads(lines[0])
+        assert err["type"] == "FormatError" and "model.classifier.head.b" in err["message"]
+
     def test_train_config_value_type_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"train": {"epochs": "ten"}}))
@@ -646,12 +700,18 @@ class TestCli:
         ({"sbcm": {"widths": [3, 16, 32, 64]}}, "sbcm.widths"),
         ({"cnnf": {"widths": [192, 256, 728, 2048]}}, "cnnf.widths"),
         ({"backbone": {"stem_widths": [3, 32, 48, 64]}}, "backbone.stem_widths"),
-        ({"backbone": {"deep_widths": [64, 128, 256]}}, "backbone.deep_widths")],
+        ({"backbone": {"deep_widths": [64, 128, 256]}}, "backbone.deep_widths"),
+        (STRIDES_DESK_CONFIG, "cnnf.strides"),
+        ({"sbcm": {"kernels": [7, 5, 3]}}, "sbcm.kernels"),
+        ({"sbcm": {"strides": [3, 2, 2]}}, "sbcm.strides"),
+        ({"faae": {"zero_init_out": True}}, "faae.zero_init_out")],
         ids=["old_readme_desk_block", "old_sbcm_widths", "old_cnnf_widths",
-             "old_stem_widths", "old_deep_widths"])
+             "old_stem_widths", "old_deep_widths", "strides_readme_desk_block",
+             "sbcm_kernels", "sbcm_strides", "faae_zero_init_out"])
     def test_train_old_width_format_fails_before_reading_images(self, tmp_path, capsys,
                                                                 monkeypatch, doc, key):
-        # width lists that spelled out the built-in 3, 64 and 192 channels
+        # width lists that spelled out the built-in 3, 64 and 192 channels, or
+        # keys for the SBCM, CNN-F and FAAE settings that are now constants
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
         data = str(tmp_path / "data")

@@ -12,16 +12,8 @@ from sfcl.tensor import Tensor
 
 
 class TestSbcmConfig:
-    def test_default_depth_chain(self):
-        assert local_branch._depth_chain(64, (7, 5, 3), (3, 2, 2)) == [64, 20, 8, 3]
-
-    def test_bad_depth_chain_rejected(self):
-        with pytest.raises(ConfigError):
-            SbcmConfig(strides=(3, 2, 3))
-
     def test_widths_are_the_hidden_widths_only(self, rng):
-        with pytest.raises(ConfigError, match=r"sbcm\.widths .* expected 3, 3 and 2 entries, "
-                                              r"got 3, 3 and 4"):
+        with pytest.raises(ConfigError, match=r"sbcm\.widths .* expected 2 entries, got 4"):
             SbcmConfig(widths=(3, 16, 32, 64))  # the input and output widths are built in
         sbcm = Sbcm(SbcmConfig(widths=(6, 8)), rng, np.float64)
         assert [sbcm.conv0.w.shape[:2], sbcm.conv1.w.shape[:2], sbcm.conv2.w.shape[:2]] == \
@@ -86,7 +78,7 @@ class TestCnnF:
         assert out.shape == (2, 2048)
 
     def test_constant_input_finite(self, rng):
-        net = CnnF(CnnfConfig(widths=(16, 16, 32), strides=(2, 2, 1)), rng, np.float64)
+        net = CnnF(CnnfConfig(widths=(16, 16, 32)), rng, np.float64)
         out = net.forward(Tensor(np.full((1, 192, 4, 4), 3.0)), mode="infer")
         assert np.isfinite(out.data).all()
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sfcl.checks import tiny_detector_config
-from sfcl.errors import ConfigError, InputError
+from sfcl.errors import ConfigError, FormatError, InputError
 from sfcl.frequency import PlanarImage
 from sfcl.model import (Detector, DetectorConfig, desk_detector_config,
                         extract_frontend)
@@ -140,6 +140,35 @@ class TestStateRoundTrip:
         dst = Detector(tiny_detector_config(0))
         with pytest.raises(InputError):
             dst.load_state_arrays(state)
+
+    @pytest.mark.parametrize("fusion_mode", ["hierarchical", "concat"])
+    @pytest.mark.parametrize("name", ["model.classifier.head.b", "model.cnnf.block0.bn1.running_var"])
+    def test_non_finite_value_rejected_naming_the_tensor(self, fusion_mode, name):
+        state = {k: v.copy() for k, v in
+                 Detector(tiny_detector_config(0, fusion_mode=fusion_mode)).state_arrays().items()}
+        state[name].flat[-1] = np.nan
+        dst = Detector(tiny_detector_config(1, fusion_mode=fusion_mode))
+        with pytest.raises(FormatError, match=rf"{name}: stored values are not all finite"):
+            dst.load_state_arrays(state)
+
+    def test_value_beyond_the_model_precision_rejected(self):
+        state = {k: v.copy() for k, v in Detector(tiny_detector_config(0)).state_arrays().items()}
+        state["model.classifier.head.b"][0] = 1e39  # finite in float64, inf in float32
+        dst = Detector(tiny_detector_config(0, precision="single"))
+        with pytest.raises(FormatError, match=r"head\.b: stored values are not all finite as float32"):
+            dst.load_state_arrays(state)
+
+    @pytest.mark.parametrize("fault", ["shape", "nan"])
+    def test_refused_load_leaves_the_model_unchanged(self, fault):
+        state = {k: v.copy() for k, v in Detector(tiny_detector_config(0)).state_arrays().items()}
+        last = list(state)[-1]  # checked after every other tensor
+        state[last] = np.full(state[last].shape + ((2,) if fault == "shape" else ()), np.nan)
+        dst = Detector(tiny_detector_config(1))
+        before = {k: v.copy() for k, v in dst.state_arrays().items()}
+        with pytest.raises(FormatError, match=last):
+            dst.load_state_arrays(state)
+        after = dst.state_arrays()
+        assert all(np.array_equal(after[k], v) for k, v in before.items())
 
     def test_buffers_update_during_training_mode(self, rng):
         model = Detector(tiny_detector_config(5))

@@ -6,7 +6,7 @@ import pytest
 from sfcl.errors import ConfigError, ShapeError
 from sfcl import tensor as T
 from sfcl.fusion import Classifier, Faae, FaaeConfig, Hcma, HcmaConfig, _tokens, _untokens
-from sfcl.layers import global_avg_pool
+from sfcl.layers import global_avg_pool, he_normal
 from sfcl.spatial import BackboneConfig, SpatialBackbone
 from sfcl.tensor import Tensor
 
@@ -52,8 +52,12 @@ class TestBackbone:
                            global_avg_pool(Tensor(shuffled)).data, atol=1e-15)
 
 
-def _faae(rng, dtype=np.float64, **kw):
-    return Faae(FaaeConfig(**kw), 64, rng, dtype)
+def _faae(rng, dtype=np.float64, live_out=False, **kw):
+    """A 64-channel FAAE; ``live_out`` draws its zero-initialised output projection."""
+    faae = Faae(FaaeConfig(**kw), 64, rng, dtype)
+    if live_out:
+        faae.out.w.data = he_normal(rng, (64, 64), 64, dtype)
+    return faae
 
 
 def _faae_map(faae, x_f, x_s):
@@ -98,7 +102,7 @@ class TestFaae:
         assert np.abs((alpha - want) / np.maximum(np.abs(want), 1e-12)).max() < 1e-10
 
     def test_closed_gate_is_identity(self, rng):
-        faae = _faae(rng, zero_init_out=False)
+        faae = _faae(rng, live_out=True)
         faae.gamma_s.data = np.array(-30.0)
         x_s = Tensor(rng.standard_normal((2, 64, 2, 2)))
         x_f = Tensor(rng.standard_normal((2, 192, 2, 2)))
@@ -106,7 +110,7 @@ class TestFaae:
         assert np.abs(out.data - x_s.data).max() < 1e-6
 
     def test_neutral_gate_scales_context_by_half(self, rng):
-        faae = _faae(rng, zero_init_out=False)
+        faae = _faae(rng, live_out=True)
         x_s = Tensor(rng.standard_normal((1, 64, 2, 2)))
         x_f = Tensor(rng.standard_normal((1, 192, 2, 2)))
         alpha = _faae_map(faae, x_f, x_s)
@@ -123,7 +127,7 @@ class TestFaae:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_applies_the_diagnostic_map(self, rng, dtype):
-        faae = _faae(rng, dtype, zero_init_out=False)
+        faae = _faae(rng, dtype, live_out=True)
         x_s = Tensor(rng.standard_normal((3, 64, 4, 4)).astype(dtype))
         x_f = Tensor(rng.standard_normal((3, 192, 4, 4)).astype(dtype))
         alpha = _faae_map(faae, x_f, x_s)
@@ -136,7 +140,7 @@ class TestFaae:
         assert np.array_equal(faae.forward(x_f, x_s, mode="infer").data, want)
 
     def test_zero_init_start_is_exact_identity(self, rng):
-        faae = _faae(rng)  # zero_init_out=True by default
+        faae = _faae(rng)
         x_s = Tensor(rng.standard_normal((1, 64, 2, 2)))
         x_f = Tensor(rng.standard_normal((1, 192, 2, 2)))
         out = faae.forward(x_f, x_s, mode="infer")

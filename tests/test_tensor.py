@@ -415,7 +415,7 @@ def _bmm(a, b):
 
 def _attention_chain(q, k, v, scale):
     """The unfused op chain ``attention`` replaces."""
-    return _bmm(_softmax_rows(T.mul(_bmm(q, T.transpose(k, (0, 2, 1))), scale)), v)
+    return _bmm(_softmax_rows(T.mul(_bmm(q, T.transpose(k, (0, 2, 1))), Tensor(scale, dtype=q.dtype))), v)
 
 
 def _attention_run(op, arrays, proj):
@@ -513,8 +513,16 @@ class TestElementwise:
             T.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
 
     def test_scalar_broadcast(self):
-        out = T.mul(Tensor([[1.0, 2.0], [3.0, 4.0]]), 2.0)
+        out = T.mul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor(2.0))
         assert np.array_equal(out.data, [[2.0, 4.0], [6.0, 8.0]])
+
+    @pytest.mark.parametrize("op", [T.add, T.mul])
+    def test_python_numbers_rejected(self, op):
+        x = Tensor([1.0, 2.0])
+        with pytest.raises(UsageError, match="operands must be tensors, got float"):
+            op(x, 2.0)
+        with pytest.raises(UsageError, match="operands must be tensors, got int"):
+            op(2, x)
 
     def test_sigmoid_extreme_inputs_finite(self):
         out = T.sigmoid(Tensor([-1000.0, 1000.0])).data
@@ -745,7 +753,7 @@ class TestBackward:
 
     def test_tape_is_topologically_ordered(self):
         x = Tensor([1.0], requires_grad=True)
-        y = T.mul(x, 2.0)
+        y = T.mul(x, Tensor(2.0))
         z = T.add(y, x)
         loss = T.reduce_sum(z)
         seen = set()
@@ -776,7 +784,7 @@ class TestGraphLifetime:
         x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal(4), requires_grad=True)
-        outs = [T.add(x, x), T.mul(x, 2.0), T.concat([x, x]), T.linear(x, w, b),
+        outs = [T.add(x, x), T.mul(x, Tensor(2.0)), T.concat([x, x]), T.linear(x, w, b),
                 T.conv2d(T.reshape(x, (1, 1, 2, 3)), Tensor(np.ones((1, 1, 1, 1)), requires_grad=True))]
         for out in outs:
             for cell in out._fn.backward.__closure__:
@@ -789,10 +797,10 @@ class TestNoGrad:
     def test_results_record_no_graph(self):
         x = Tensor([1.0, -2.0], requires_grad=True)
         with T.no_grad():
-            y = T.relu(T.mul(x, 3.0))
+            y = T.relu(T.mul(x, Tensor(3.0)))
         assert not y.requires_grad and y._fn is None
         assert np.array_equal(y.data, [3.0, 0.0])
-        assert T.mul(x, 3.0).requires_grad
+        assert T.mul(x, Tensor(3.0)).requires_grad
 
     def test_backward_on_result_raises(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -806,12 +814,12 @@ class TestNoGrad:
         with pytest.raises(RuntimeError):
             with T.no_grad():
                 raise RuntimeError("inside")
-        assert T.mul(x, 2.0).requires_grad
+        assert T.mul(x, Tensor(2.0)).requires_grad
 
     def test_thread_started_inside_records_graph(self):
         x = Tensor([1.0], requires_grad=True)
         seen = []
-        worker = threading.Thread(target=lambda: seen.append(T.mul(x, 2.0).requires_grad))
+        worker = threading.Thread(target=lambda: seen.append(T.mul(x, Tensor(2.0)).requires_grad))
         with T.no_grad():
             worker.start()
             worker.join(timeout=10)
@@ -865,8 +873,8 @@ def _op_cases(rng):
     bias = rng.standard_normal(4)
     tokens = rng.standard_normal((2, 3, 4))
     return {
-        "add": (lambda x: T.add(x, T.mul(x, 0.5)), (3, 4)),
-        "mul": (lambda x: T.mul(x, T.add(x, 1.0)), (3, 4)),
+        "add": (lambda x: T.add(x, T.mul(x, Tensor(0.5, dtype=x.dtype))), (3, 4)),
+        "mul": (lambda x: T.mul(x, T.add(x, Tensor(1.0, dtype=x.dtype))), (3, 4)),
         "relu": (lambda x: T.relu(x), (3, 4)),
         "sigmoid": (lambda x: T.sigmoid(x), (3, 4)),
         "conv2d": (lambda x: T.conv2d(x, Tensor(w2), (2, 2), (1, 1)), (2, 3, 5, 5)),
@@ -876,14 +884,15 @@ def _op_cases(rng):
         "sum": (lambda x: T.reduce_sum(x, axes=(0,)), (3, 4)),
         "reshape": (lambda x: T.reshape(x, (4, 3)), (3, 4)),
         "transpose": (lambda x: T.transpose(x, (1, 0)), (3, 4)),
-        "concat": (lambda x: T.concat([x, T.mul(x, 2.0)], axis=0), (2, 3)),
+        "concat": (lambda x: T.concat([x, T.mul(x, Tensor(2.0, dtype=x.dtype))], axis=0), (2, 3)),
         "linear": (lambda x: T.linear(x, Tensor(wm), Tensor(bias)), (3, 4)),
         "linear_no_bias": (lambda x: T.linear(x, Tensor(wm)), (4, 4)),
         "linear_tokens": (lambda x: T.linear(x, Tensor(wm), Tensor(bias)), (2, 3, 4)),
         "linear_tokens_weight": (lambda w: T.linear(Tensor(tokens), w, Tensor(bias)), (4, 4)),
         "linear_tokens_bias": (lambda b: T.linear(Tensor(tokens), Tensor(wm), b), (4,)),
         "bce": (lambda x: T.bce_with_logits(x, np.array([1.0, 0.0, 1.0])), (3,)),
-        "attention": (lambda x: T.attention(x, T.mul(x, 0.5), x, 0.7), (2, 3, 4)),
+        "attention": (lambda x: T.attention(x, T.mul(x, Tensor(0.5, dtype=x.dtype)), x, 0.7),
+                      (2, 3, 4)),
     }
 
 
