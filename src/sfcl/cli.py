@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -93,6 +93,20 @@ def _list_images(path) -> List[str]:
     raise InputError(f"no such file or directory: {path}")
 
 
+def _load_bboxes(path: Optional[str], files: List[str]) -> Dict[str, BoundingBox]:
+    """--bboxes's boxes by file name; each names a .ppm in the directory of ``files``."""
+    if not path:
+        return {}
+    boxes = load_bbox_manifest(path)
+    root = os.path.dirname(files[0]) or "."
+    known = {n for n in os.listdir(root) if n.lower().endswith(".ppm")}
+    known.update(os.path.basename(f) for f in files)  # a single image of another name
+    for name in boxes:
+        if name not in known:
+            raise InputError(f"{path}: entry {name!r} names no .ppm image in {root}")
+    return boxes
+
+
 def _seed(text: str) -> int:
     """argparse type of the seed flags: a non-negative integer, as numpy needs."""
     try:
@@ -156,7 +170,7 @@ def _cmd_dataset_synth(args) -> int:
 
 def _cmd_extract_spectra(args) -> int:
     files = _list_images(args.images)
-    bboxes = load_bbox_manifest(args.bboxes) if args.bboxes else {}
+    bboxes = _load_bboxes(args.bboxes, files)
     os.makedirs(args.out, exist_ok=True)
 
     def one(path):
@@ -183,10 +197,10 @@ def _cmd_features_sida(args) -> int:
         root = args.images
     else:
         files = _list_images(args.images)
-        bboxes = load_bbox_manifest(args.bboxes) if args.bboxes else {}
+        bboxes = _load_bboxes(args.bboxes, files)
         entries = [(os.path.basename(p), None, bboxes.get(os.path.basename(p))) for p in files]
         with_labels = False
-        root = args.images if os.path.isdir(args.images) else os.path.dirname(args.images) or "."
+        root = os.path.dirname(files[0]) or "."
 
     def one(entry):
         fname, label, bbox = entry

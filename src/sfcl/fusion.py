@@ -99,8 +99,8 @@ class HcmaConfig:
     tokens: int = 16
 
     def __post_init__(self):
-        if self.embed_dim % self.heads:
-            raise ConfigError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
+        if self.heads < 1 or self.tokens < 1:
+            raise ConfigError(f"heads and tokens must be at least 1, got {self.heads} and {self.tokens}")
         if self.embed_dim % self.tokens:
             raise ConfigError(f"embed_dim {self.embed_dim} not divisible by tokens {self.tokens}")
         if self.token_dim % self.heads:

@@ -111,11 +111,13 @@ def _bbox(record: dict, where: str) -> BoundingBox:
 
 
 def load_bbox_manifest(path) -> Dict[str, BoundingBox]:
-    """JSON array of {file, x, y, w, h} records, pixels with top-left origin."""
+    """JSON array of {file, x, y, w, h} records (pixels, top-left origin), one per file."""
     out: Dict[str, BoundingBox] = {}
     for i, rec in enumerate(_load_records(path, "bounding-box")):
         _require_keys(rec, {"file", "x", "y", "w", "h"}, set(), f"{path}[{i}]")
         _require_file_name(rec, f"{path}[{i}]")
+        if rec["file"] in out:
+            raise InputError(f"{path}[{i}]: file {rec['file']!r} already has a box")
         out[rec["file"]] = _bbox(rec, f"{path}[{i}]")
     return out
 

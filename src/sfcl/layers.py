@@ -49,29 +49,27 @@ class Layer:
 class Conv2dLayer(Layer):
     """Bias-free 2D convolution; follow with batch norm for the shift."""
 
-    def __init__(self, c_in: int, c_out: int, kernel: int, stride: int, pad: int,
+    def __init__(self, c_in: int, c_out: int, kernel: int, stride: int,
                  rng: np.random.Generator, dtype=np.float32):
         fan_in = c_in * kernel * kernel
         self.w = Tensor(he_normal(rng, (c_out, c_in, kernel, kernel), fan_in, dtype),
                         requires_grad=True)
         self.stride = stride
-        self.pad = pad
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.w, stride=self.stride, pad=self.pad)
+        return T.conv2d(x, self.w, self.stride)
 
 
 class DepthwiseConv2dLayer(Layer):
-    def __init__(self, channels: int, kernel: int, stride: int, pad: int,
+    def __init__(self, channels: int, kernel: int, stride: int,
                  rng: np.random.Generator, dtype=np.float32):
         fan_in = kernel * kernel
         self.w = Tensor(he_normal(rng, (channels, kernel, kernel), fan_in, dtype),
                         requires_grad=True)
         self.stride = stride
-        self.pad = pad
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.depthwise_conv2d(x, self.w, stride=self.stride, pad=self.pad)
+        return T.depthwise_conv2d(x, self.w, self.stride)
 
 
 class Conv3dDepthLayer(Layer):
@@ -119,9 +117,9 @@ class BatchNormLayer(Layer):
 class ConvBnRelu(Layer):
     """conv -> BN -> relu, the stock block for the spatial stages."""
 
-    def __init__(self, c_in: int, c_out: int, kernel: int, stride: int, pad: int,
+    def __init__(self, c_in: int, c_out: int, kernel: int, stride: int,
                  rng: np.random.Generator, dtype=np.float32):
-        self.conv = Conv2dLayer(c_in, c_out, kernel, stride, pad, rng, dtype)
+        self.conv = Conv2dLayer(c_in, c_out, kernel, stride, rng, dtype)
         self.bn = BatchNormLayer(c_out, dtype)
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
@@ -133,9 +131,9 @@ class SeparableBlock(Layer):
 
     def __init__(self, c_in: int, c_out: int, stride: int,
                  rng: np.random.Generator, dtype=np.float32):
-        self.dw = DepthwiseConv2dLayer(c_in, 3, stride, 1, rng, dtype)
+        self.dw = DepthwiseConv2dLayer(c_in, 3, stride, rng, dtype)
         self.bn1 = BatchNormLayer(c_in, dtype)
-        self.pw = Conv2dLayer(c_in, c_out, 1, 1, 0, rng, dtype)
+        self.pw = Conv2dLayer(c_in, c_out, 1, 1, rng, dtype)
         self.bn2 = BatchNormLayer(c_out, dtype)
 
     def forward(self, x: Tensor, mode: str) -> Tensor:

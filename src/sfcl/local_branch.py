@@ -100,8 +100,6 @@ class CnnF(Layer):
     def forward(self, x: Tensor, mode: str = "infer") -> Tensor:
         if x.shape[-3] != FREQ_CHANNELS:
             raise ShapeError(f"expected {FREQ_CHANNELS} input channels, got shape {x.shape}")
-        for i, block in enumerate(self.block):
-            if x.shape[-1] < 1 or x.shape[-2] < 1:
-                raise ConfigError(f"spatial dims collapsed before block {i}: shape {x.shape}")
+        for block in self.block:
             x = block.forward(x, mode)
         return global_avg_pool(x)

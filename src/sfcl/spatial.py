@@ -41,8 +41,7 @@ class SpatialBackbone(Layer):
     """Shallow tap at stride 8, then deep stages pooling to a feature vector."""
 
     def __init__(self, cfg: BackboneConfig, rng: np.random.Generator, dtype=np.float32):
-        self.cfg = cfg
-        stages = [ConvBnRelu(c_in, c_out, 3, 2, 1, rng, dtype)
+        stages = [ConvBnRelu(c_in, c_out, 3, 2, rng, dtype)
                   for c_in, c_out in zip((3,) + cfg.widths, cfg.widths)]
         self.stem, self.deep = stages[:3], stages[3:]
         self.head = LinearLayer(cfg.widths[-1], cfg.output_dim, rng, dtype)
@@ -60,8 +59,6 @@ class SpatialBackbone(Layer):
     def deep_forward(self, y_s: Tensor, mode: str = "infer") -> Tensor:
         """Shallow (possibly attention-enhanced) map -> feature vector [N, output_dim]."""
         x = y_s
-        for i, stage in enumerate(self.deep):
-            if x.shape[-1] < 1 or x.shape[-2] < 1:
-                raise ConfigError(f"spatial dims collapsed before deep stage {i}: shape {x.shape}")
+        for stage in self.deep:
             x = stage.forward(x, mode)
         return self.head.forward(global_avg_pool(x))

@@ -23,7 +23,8 @@ Design constraints honoured throughout:
 * a backward closure returns ``None`` for a parent that does not require
   grad (the convolutions and ``linear`` skip that work; ``backward``
   skips ``None``),
-* convolution uses the cross-correlation convention (no kernel flip),
+* convolution uses the cross-correlation convention (no kernel flip); a
+  2-D one pads by k // 2 for its odd square kernel k, keeping the size,
 * ``attention`` never builds its [B, M, L] score map: each chunk it
   computes always covers whole score rows, so every row's softmax runs on
   complete rows, as an unfused matmul, softmax, matmul chain's does,
@@ -72,13 +73,12 @@ class _Fn:
     gradient to one gradient per entry, in the same order.
     """
 
-    __slots__ = ("parents", "backward", "op", "consumed")
+    __slots__ = ("parents", "backward", "op")
 
     def __init__(self, parents: tuple, backward: Callable, op: str):
         self.parents = parents
-        self.backward: Optional[Callable] = backward
+        self.backward: Optional[Callable] = backward  # None once swept
         self.op = op
-        self.consumed = False
 
 
 class Tensor:
@@ -173,7 +173,7 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         raise UsageError("loss does not depend on any tensor with requires_grad")
     order = _trace(loss)
-    if any(type(node) is _Fn and node.consumed for node in order):
+    if any(type(node) is _Fn and node.backward is None for node in order):
         raise UsageError("backward was already run on this graph; rerun the forward pass first")
 
     grads: dict = {id(order[-1]): np.ones_like(loss.data)}
@@ -193,7 +193,6 @@ def backward(loss: Tensor) -> None:
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
-        node.consumed = True
         node.backward = None  # free the closure and its captured buffers
         node.parents = ()
 
@@ -528,12 +527,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
 _CONV_CHUNK = 1 << 22
 
 
-def _pair(v) -> tuple:
-    if isinstance(v, (tuple, list)):
-        return int(v[0]), int(v[1])
-    return int(v), int(v)
-
-
 def _channel_major(shape: tuple, dtype) -> np.ndarray:
     """An empty [N, C, ...] array in the layout the convolutions' einsums
     return: C outermost in memory when N > 1, C-ordered when N is 1.
@@ -548,35 +541,36 @@ def _channel_major(shape: tuple, dtype) -> np.ndarray:
     return np.empty((shape[1], shape[0]) + shape[2:], dtype=dtype).swapaxes(0, 1)
 
 
-def _conv2d_geometry(op: str, x: np.ndarray, kh: int, kw: int, stride, pad) -> tuple:
-    """((kh, kw, sh, sw, ph, pw), Ho, Wo) once the kernel fits the padded input."""
-    (sh, sw), (ph, pw) = _pair(stride), _pair(pad)
-    hp, wp = x.shape[2] + 2 * ph, x.shape[3] + 2 * pw
-    if kh > hp or kw > wp:
-        raise ShapeError(f"{op}: kernel ({kh},{kw}) larger than padded input ({hp},{wp})")
-    return (kh, kw, sh, sw, ph, pw), (hp - kh) // sh + 1, (wp - kw) // sw + 1
+def _conv2d_geometry(op: str, x: np.ndarray, kh: int, kw: int, stride: int) -> tuple:
+    """(k, s, p, Ho, Wo) for an odd square kernel k padded by p = k // 2 per side."""
+    h, w = x.shape[2:]
+    if kh != kw or kh % 2 == 0 or h < 1 or w < 1:
+        raise ShapeError(f"{op}: expected an odd square kernel and a non-empty input, "
+                         f"got kernel ({kh},{kw}) and input {x.shape}")
+    return kh, stride, kh // 2, (h - 1) // stride + 1, (w - 1) // stride + 1
 
 
-def _windows(x: np.ndarray, rows: slice, ho: int, geometry: tuple) -> np.ndarray:
-    """[N, C, rows, Wo, kh, kw] window view of x [N, C, H, W] for output ``rows``.
+def _windows(x: np.ndarray, rows: slice, ho: int, k: int, s: int, p: int) -> np.ndarray:
+    """[N, C, rows, Wo, k, k] window view of x [N, C, H, W] for output ``rows``.
 
     It views a zero-padded copy of only the input rows those outputs read;
-    for every row, that copy is the whole padded input.
+    for every row, that copy is the whole padded input. Output row r reads
+    input row r * s < H, so every chunk copies at least one row of x.
     """
-    kh, kw, sh, sw, ph, pw = geometry
     n, c, h, w = x.shape
     r0, r1, _ = rows.indices(ho)
-    lo = r0 * sh - ph
-    hi = h + ph if r1 == ho else (r1 - 1) * sh - ph + kh
-    xp = np.zeros((n, c, hi - lo, w + 2 * pw), dtype=x.dtype)
-    a = max(lo, 0)
-    b = max(a, min(hi, h))  # a chunk that lies wholly in the padding copies nothing
-    xp[:, :, a - lo:b - lo, pw:pw + w] = x[:, :, a:b]
-    return sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    lo = r0 * s - p
+    hi = h + p if r1 == ho else (r1 - 1) * s - p + k
+    xp = np.zeros((n, c, hi - lo, w + 2 * p), dtype=x.dtype)
+    a, b = max(lo, 0), min(hi, h)
+    xp[:, :, a - lo:b - lo, p:p + w] = x[:, :, a:b]
+    return sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
 
 
-def conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
-    """2D cross-correlation. x: [N,C_in,H,W]; w: [C_out,C_in,kh,kw].
+def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
+    """2D cross-correlation. x: [N,C_in,H,W]; w: [C_out,C_in,k,k], k odd.
+
+    Each side is padded by k // 2: Ho = (H - 1) // stride + 1, so stride 1 keeps the size.
 
     The forward runs one einsum per chunk of ``_chunks`` (whole samples, or
     output rows of one sample whose windows exceed ``_CONV_CHUNK``) into an
@@ -596,19 +590,18 @@ def conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
     co, ci_w, kh, kw = wd.shape
     if ci != ci_w:
         raise ShapeError(f"conv2d: input channels {ci} do not match kernel channels {ci_w}")
-    geo, ho, wo = _conv2d_geometry("conv2d", xd, kh, kw, stride, pad)
-    _, _, sh, sw, ph, pw = geo
+    k, s, p, ho, wo = _conv2d_geometry("conv2d", xd, kh, kw, stride)
 
     out = _channel_major((n, co, ho, wo), xd.dtype)
-    for ns, rs in _chunks(n, ho, ci * kh * kw * wo * xd.itemsize, _CONV_CHUNK, 1):
-        np.einsum("ncpqij,ocij->nopq", _windows(xd[ns], rs, ho, geo), wd,
+    for ns, rs in _chunks(n, ho, ci * k * k * wo * xd.itemsize, _CONV_CHUNK, 1):
+        np.einsum("ncpqij,ocij->nopq", _windows(xd[ns], rs, ho, k, s, p), wd,
                   out=out[ns, :, rs], optimize=True)
     x_grad, w_grad = x.requires_grad, w.requires_grad
 
     def bw(g):
         dw = None
         if w_grad:  # the padded input is built again, not kept from the forward
-            win = _windows(xd, slice(None), ho, geo)
+            win = _windows(xd, slice(None), ho, k, s, p)
             dw = np.einsum("nopq,ncpqij->ocij", g, win, optimize=True)
         if not x_grad:
             return None, dw
@@ -619,20 +612,20 @@ def conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
         # BLAS call einsum on g made, so dx keeps its bits; a matmul over an
         # [N*H*W, C_out] copy rounds differently on some shapes (tested).
         g_cols = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(co, -1)
-        dxp = np.zeros((n, h + 2 * ph, wd_ + 2 * pw, ci), dtype=xd.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, i:i + sh * ho:sh, j:j + sw * wo:sw] += np.einsum(
+        dxp = np.zeros((n, h + 2 * p, wd_ + 2 * p, ci), dtype=xd.dtype)
+        for i in range(k):
+            for j in range(k):
+                dxp[:, i:i + s * ho:s, j:j + s * wo:s] += np.einsum(
                     "om,oc->mc", g_cols, wd[:, :, i, j], optimize=True).reshape(n, ho, wo, ci)
-        return np.ascontiguousarray(dxp[:, ph:ph + h, pw:pw + wd_].transpose(0, 3, 1, 2)), dw
+        return np.ascontiguousarray(dxp[:, p:p + h, p:p + wd_].transpose(0, 3, 1, 2)), dw
 
     return _node(out, "conv2d", (x, w), bw)
 
 
-def depthwise_conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
-    """Per-channel 2D cross-correlation. x: [N,C,H,W]; w: [C,kh,kw].
+def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
+    """Per-channel 2D cross-correlation. x: [N,C,H,W]; w: [C,k,k], k odd.
 
-    Chunked as :func:`conv2d`.
+    Padded and chunked as :func:`conv2d`.
     """
     _check_same_precision("depthwise_conv2d", x, w)
     xd, wd = x.data, w.data
@@ -643,29 +636,28 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
     cw, kh, kw = wd.shape
     if c != cw:
         raise ShapeError(f"depthwise_conv2d: channels {c} do not match kernel channels {cw}")
-    geo, ho, wo = _conv2d_geometry("depthwise_conv2d", xd, kh, kw, stride, pad)
-    _, _, sh, sw, ph, pw = geo
+    k, s, p, ho, wo = _conv2d_geometry("depthwise_conv2d", xd, kh, kw, stride)
 
     out = _channel_major((n, c, ho, wo), xd.dtype)
-    for ns, rs in _chunks(n, ho, c * kh * kw * wo * xd.itemsize, _CONV_CHUNK, 1):
-        np.einsum("ncpqij,cij->ncpq", _windows(xd[ns], rs, ho, geo), wd,
+    for ns, rs in _chunks(n, ho, c * k * k * wo * xd.itemsize, _CONV_CHUNK, 1):
+        np.einsum("ncpqij,cij->ncpq", _windows(xd[ns], rs, ho, k, s, p), wd,
                   out=out[ns, :, rs], optimize=True)
     x_grad, w_grad = x.requires_grad, w.requires_grad
 
     def bw(g):
         dw = None
         if w_grad:
-            win = _windows(xd, slice(None), ho, geo)
+            win = _windows(xd, slice(None), ho, k, s, p)
             dw = np.einsum("ncpq,ncpqij->cij", g, win, optimize=True)
         if not x_grad:
             return None, dw
         # Channels-last accumulator, handed on C-ordered, as in conv2d.
         g_last = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
-        dxp = np.zeros((n, h + 2 * ph, wd_ + 2 * pw, c), dtype=xd.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, i:i + sh * ho:sh, j:j + sw * wo:sw] += g_last * wd[:, i, j]
-        return np.ascontiguousarray(dxp[:, ph:ph + h, pw:pw + wd_].transpose(0, 3, 1, 2)), dw
+        dxp = np.zeros((n, h + 2 * p, wd_ + 2 * p, c), dtype=xd.dtype)
+        for i in range(k):
+            for j in range(k):
+                dxp[:, i:i + s * ho:s, j:j + s * wo:s] += g_last * wd[:, i, j]
+        return np.ascontiguousarray(dxp[:, p:p + h, p:p + wd_].transpose(0, 3, 1, 2)), dw
 
     return _node(out, "depthwise_conv2d", (x, w), bw)
 
@@ -677,8 +669,6 @@ def conv3d(x: Tensor, w: Tensor, stride_d: int = 1) -> Tensor:
     rows along H.
     """
     _check_same_precision("conv3d", x, w)
-    if stride_d < 1:
-        raise UsageError(f"conv3d: stride must be >= 1, got {stride_d}")
     wd = w.data
     if wd.ndim != 3:
         raise ShapeError(f"conv3d: expected kernel [C_out,C_in,kd], got {w.shape}")

@@ -89,6 +89,13 @@ class TestManifests:
         with pytest.raises(InputError, match="score"):
             load_bbox_manifest(path)
 
+    def test_bbox_manifest_file_listed_twice(self, tmp_path):
+        path = tmp_path / "boxes.json"
+        box = {"file": "a.ppm", "x": 1, "y": 2, "w": 16, "h": 24}
+        path.write_text(json.dumps([box, dict(box, x=5)]))
+        with pytest.raises(InputError, match=r"boxes.json\[1\]: file 'a.ppm' already has a box"):
+            load_bbox_manifest(path)
+
     def test_dataset_manifest(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps([
@@ -470,6 +477,43 @@ class TestCli:
         err = json.loads(lines[0])
         assert err["type"] == "UsageError" and "--bboxes or --manifest" in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["features-sida", "extract-spectra"])
+    @pytest.mark.parametrize("case", ["typo", "twice"])
+    def test_bboxes_entry_that_boxes_no_image_refused(self, tmp_path, capsys, command, case):
+        data = str(tmp_path / "imgs")
+        samples = synth_generate(SynthConfig(count=2, height=16, width=16, seed=1),
+                                 out_dir=data)
+        name = samples[0].file
+        boxes = [{"file": s.file, "x": 0, "y": 0, "w": 8, "h": 8} for s in samples]
+        if case == "typo":  # a name one letter short matches no image
+            boxes[0]["file"], want = name[1:], name[1:]
+        else:  # the second box for one file would silently replace the first
+            boxes.append({"file": name, "x": 8, "y": 8, "w": 8, "h": 8})
+            want = "already has a box"
+        path = tmp_path / "boxes.json"
+        path.write_text(json.dumps(boxes))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.main([command, "--images", data, "--bboxes", str(path), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["type"] == "InputError" and want in err["message"]
+        assert not out.exists()
+
+    def test_bboxes_may_name_a_sibling_of_a_single_image(self, tmp_path, capsys):
+        data = tmp_path / "imgs"
+        samples = synth_generate(SynthConfig(count=2, height=16, width=16, seed=1),
+                                 out_dir=str(data))
+        boxes = tmp_path / "boxes.json"
+        boxes.write_text(json.dumps(
+            [{"file": s.file, "x": 0, "y": 0, "w": 16, "h": 16} for s in samples]))
+        out = tmp_path / "d.csv"
+        assert cli.main(["features-sida", "--images", str(data / samples[0].file),
+                         "--bboxes", str(boxes), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2  # header + the one image
+        capsys.readouterr()
 
     def test_export_heatmap_constant_image(self, tmp_path, capsys):
         img = tmp_path / "gray.ppm"

@@ -38,11 +38,11 @@ class TestBackbone:
             BackboneConfig(widths=(16, 24, 32))
 
     def test_stages_chain_from_rgb_through_one_width_list(self, rng):
-        net = SpatialBackbone(BackboneConfig(widths=(4, 6, 8, 10, 12), output_dim=5), rng,
-                              np.float64)
+        cfg = BackboneConfig(widths=(4, 6, 8, 10, 12), output_dim=5)
+        net = SpatialBackbone(cfg, rng, np.float64)
         assert [s.conv.w.shape[:2] for s in net.stem] == [(4, 3), (6, 4), (8, 6)]
         assert [s.conv.w.shape[:2] for s in net.deep] == [(10, 8), (12, 10)]
-        assert net.head.w.shape == (12, 5) and net.cfg.shallow_channels == 8
+        assert net.head.w.shape == (12, 5) and cfg.shallow_channels == 8
 
     def test_pooled_features_permutation_invariant(self, rng):
         x = rng.standard_normal((1, 7, 3, 3))
@@ -213,6 +213,11 @@ class TestHcma:
             HcmaConfig(embed_dim=100, heads=8)
         with pytest.raises(ConfigError):
             HcmaConfig(embed_dim=64, heads=4, tokens=5)
+
+    @pytest.mark.parametrize("field", ["heads", "tokens"])
+    def test_zero_heads_or_tokens_refused(self, field):
+        with pytest.raises(ConfigError, match="at least 1"):
+            HcmaConfig(**{field: 0})
 
 
 class TestClassifier:

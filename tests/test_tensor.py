@@ -68,40 +68,53 @@ class TestLinear:
 
 class TestConv2d:
     def test_all_ones(self):
+        # each output sums the 3x3 window's ones that lie inside the 1-padded input
         x = Tensor(np.ones((1, 1, 3, 3)))
         w = Tensor(np.ones((1, 1, 3, 3)))
         out = T.conv2d(x, w)
-        assert out.data.shape == (1, 1, 1, 1)
-        assert out.data[0, 0, 0, 0] == 9.0
+        assert np.array_equal(out.data[0, 0], [[4, 6, 4], [6, 9, 6], [4, 6, 4]])
 
     def test_impulse_response_replicates_kernel(self, rng):
         x = np.zeros((1, 1, 5, 5))
         x[0, 0, 2, 2] = 1.0
         w = rng.standard_normal((1, 1, 3, 3))
         out = T.conv2d(Tensor(x), Tensor(w)).data
-        assert out.shape == (1, 1, 3, 3)
+        assert out.shape == (1, 1, 5, 5)
         # cross-correlation against a centered impulse reproduces the kernel
-        # content, mirrored: out[p,q] = w[2-p, 2-q]
-        assert np.array_equal(out[0, 0], w[0, 0, ::-1, ::-1])
+        # content, mirrored, around the center: out[1+p, 1+q] = w[2-p, 2-q]
+        assert np.array_equal(out[0, 0, 1:4, 1:4], w[0, 0, ::-1, ::-1])
+        out[0, 0, 1:4, 1:4] = 0.0
+        assert not out.any()
 
-    def test_against_six_loop_oracle(self, rng):
-        x = rng.standard_normal((2, 3, 9, 9))
-        w = rng.standard_normal((4, 3, 3, 3))
-        for stride, pad in [((1, 1), (0, 0)), ((2, 2), (1, 1))]:
-            got = T.conv2d(Tensor(x), Tensor(w), stride, pad).data
-            want = np.stack([oracles.conv2d_six_loops(xi, w, stride, pad) for xi in x])
-            assert np.abs(got - want).max() < 1e-12
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_against_six_loop_oracle(self, rng, stride, k):
+        x = rng.standard_normal((2, 3, 9, 8))
+        w = rng.standard_normal((4, 3, k, k))
+        got = T.conv2d(Tensor(x), Tensor(w), stride).data
+        want = np.stack([oracles.conv2d_six_loops(xi, w, (stride, stride), (k // 2, k // 2))
+                         for xi in x])
+        assert got.shape == (2, 4, (9 - 1) // stride + 1, (8 - 1) // stride + 1)
+        assert np.abs(got - want).max() < 1e-12
 
-    def test_kernel_larger_than_padded_input(self):
-        with pytest.raises(ShapeError, match="larger than padded input"):
-            T.conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 6, 6))))
-
-    def test_depthwise_against_loops(self, rng):
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_depthwise_against_loops(self, rng, stride):
         x = rng.standard_normal((2, 4, 7, 7))
         w = rng.standard_normal((4, 3, 3))
-        got = T.depthwise_conv2d(Tensor(x), Tensor(w), (2, 2), (1, 1)).data
-        want = np.stack([oracles.depthwise_conv2d_loops(xi, w, (2, 2), (1, 1)) for xi in x])
+        got = T.depthwise_conv2d(Tensor(x), Tensor(w), stride).data
+        want = np.stack([oracles.depthwise_conv2d_loops(xi, w, (stride, stride), (1, 1))
+                         for xi in x])
         assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("op,w_lead", [(T.conv2d, (1, 1)), (T.depthwise_conv2d, (1,))],
+                             ids=["conv2d", "depthwise"])
+    @pytest.mark.parametrize("hw,kernel", [((6, 6), (2, 2)), ((6, 6), (4, 4)), ((6, 6), (3, 1)),
+                                           ((6, 6), (1, 3)), ((6, 6), (3, 5)),
+                                           ((0, 4), (3, 3)), ((4, 0), (1, 1))])
+    def test_even_or_non_square_kernel_or_empty_input_rejected(self, op, w_lead, hw, kernel):
+        with pytest.raises(ShapeError, match=r"odd square kernel and a non-empty input, "
+                                             r"got kernel \(%d,%d\)" % kernel):
+            op(Tensor(np.zeros((1, 1) + hw)), Tensor(np.zeros(w_lead + kernel)))
 
 
 class TestConv3d:
@@ -143,11 +156,12 @@ class TestConv3d:
         assert np.array_equal(x.grad, want)
 
 
-def _whole_einsum(name, x, w, stride, pad):
+def _whole_einsum(name, x, w, stride):
     """The unchunked forward: one einsum over the padded input's windows."""
     if name == "conv3d":
         win = sliding_window_view(x, w.shape[2], axis=2)[:, :, ::stride]
         return np.einsum("ncdhwk,ock->nodhw", win, w, optimize=True)
+    pad = w.shape[-1] // 2
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     win = sliding_window_view(xp, w.shape[-2:], axis=(2, 3))[:, :, ::stride, ::stride]
     if name == "conv2d":
@@ -155,48 +169,53 @@ def _whole_einsum(name, x, w, stride, pad):
     return np.einsum("ncpqij,cij->ncpq", win, w, optimize=True)
 
 
-def _conv_call(name, x, w, stride, pad):
+def _conv_call(name, x, w, stride):
     if name == "conv3d":
         return T.conv3d(Tensor(x), Tensor(w), stride_d=stride).data
     op = T.conv2d if name == "conv2d" else T.depthwise_conv2d
-    return op(Tensor(x), Tensor(w), stride, pad).data
+    return op(Tensor(x), Tensor(w), stride).data
 
 
 class TestConvChunks:
     """Chunked forwards against one einsum over the whole batch."""
 
     @staticmethod
-    def _case(rng, name, dtype, stride, pad, out_side=8):
-        """x, w and the window bytes per output row; outputs are out_side wide."""
+    def _case(rng, name, dtype, stride, k, out_side=8):
+        """x, w and the window bytes per output row; outputs are out_side wide.
+
+        The 2-D convolutions pad by k // 2: 1x1 kernels read no padding, 3x3
+        kernels one row and column of it on each side."""
         if name == "conv3d":  # rows run along H; the depth stride plays `stride`
-            x, w = rng.standard_normal((5, 3, 20, out_side, out_side)), rng.standard_normal((4, 3, 5))
-            depth = (20 - 5) // stride + 1
-            row = 3 * depth * out_side * 5
+            x, w = rng.standard_normal((5, 3, 20, out_side, out_side)), rng.standard_normal((4, 3, k))
+            depth = (20 - k) // stride + 1
+            row = 3 * depth * out_side * k
         else:
-            side = (out_side - 1) * stride + 3 - 2 * pad
+            side = (out_side - 1) * stride + 1
             x = rng.standard_normal((5, 6, side, side))
-            w = rng.standard_normal((7, 6, 3, 3) if name == "conv2d" else (6, 3, 3))
-            row = 6 * 9 * out_side
+            w = rng.standard_normal(((7, 6) if name == "conv2d" else (6,)) + (k, k))
+            row = 6 * k * k * out_side
         itemsize = np.dtype(dtype).itemsize
         return x.astype(dtype), w.astype(dtype), row * itemsize
 
     @pytest.mark.parametrize("plan", ["default", "one_sample", "two_samples", "rows"])
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("name,pad", [("conv2d", 0), ("conv2d", 1), ("depthwise_conv2d", 0),
-                                          ("depthwise_conv2d", 1), ("conv3d", 0)])
+    # pad 0 and pad 1 as the model uses them: the 1x1 pointwise and the 3x3
+    # convolutions (a 1x1 depthwise einsum lays its output out N-major)
+    @pytest.mark.parametrize("name,k", [("conv2d", 1), ("conv2d", 3), ("depthwise_conv2d", 3),
+                                        ("conv3d", 5)])
     @pytest.mark.parametrize("n", [5, 1])
-    def test_bit_equal_to_whole_einsum(self, rng, monkeypatch, n, name, pad, dtype, stride, plan):
-        x, w, row = self._case(rng, name, dtype, stride, pad)
+    def test_bit_equal_to_whole_einsum(self, rng, monkeypatch, n, name, k, dtype, stride, plan):
+        x, w, row = self._case(rng, name, dtype, stride, k)
         x = x[:n].copy()
         # every chunk's product has a multiple of 16 output columns per channel
         budget, chunks = {"default": (T._CONV_CHUNK, 1), "one_sample": (8 * row, n),
                           "two_samples": (16 * row, (n + 1) // 2), "rows": (4 * row, 2 * n)}[plan]
         monkeypatch.setattr(T, "_CONV_CHUNK", budget)
         assert len(T._chunks(n, 8, row, budget, 1)) == chunks  # the plan named
-        want = _whole_einsum(name, x, w, stride, pad)
+        want = _whole_einsum(name, x, w, stride)
         with T.no_grad():
-            got = _conv_call(name, x, w, stride, pad)
+            got = _conv_call(name, x, w, stride)
         assert got.dtype == dtype
         assert np.array_equal(got, want)
         assert got.strides == want.strides  # channel-major, as einsum lays it out
@@ -210,34 +229,21 @@ class TestConvChunks:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("name", ["conv2d", "depthwise_conv2d"])
     def test_other_widths_within_rounding(self, rng, monkeypatch, name, dtype):
-        x, w, row = self._case(rng, name, dtype, 1, 0, out_side=11)
-        want = _whole_einsum(name, x, w, 1, 0)
+        x, w, row = self._case(rng, name, dtype, 1, 3, out_side=11)
+        want = _whole_einsum(name, x, w, 1)
         for budget in (11 * row, 3 * row):
             monkeypatch.setattr(T, "_CONV_CHUNK", budget)
             with T.no_grad():
-                got = _conv_call(name, x, w, 1, 0)
+                got = _conv_call(name, x, w, 1)
             assert np.abs(got - want).max() <= self.ODD_TOL[dtype] * np.abs(want).max()
             assert got.strides == want.strides
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("name", ["conv2d", "depthwise_conv2d"])
-    def test_rows_wholly_in_the_padding(self, rng, monkeypatch, name, dtype):
-        # pad 11 gives 4-row chunks that read only padding, above and below x
-        x = rng.standard_normal((2, 3, 6, 12)).astype(dtype)
-        w = rng.standard_normal((4, 3, 3, 3) if name == "conv2d" else (3, 3, 3)).astype(dtype)
-        monkeypatch.setattr(T, "_CONV_CHUNK", 4 * 3 * 9 * 32 * x.itemsize)
-        want = _whole_einsum(name, x, w, 1, 11)
-        with T.no_grad():
-            got = _conv_call(name, x, w, 1, 11)
-        assert got.shape == (2, 4 if name == "conv2d" else 3, 26, 32)
-        assert np.array_equal(got, want)
 
     def test_rows_gradients_vs_finite_differences(self, rng, monkeypatch):
         monkeypatch.setattr(T, "_CONV_CHUNK", 1)
         x = rng.standard_normal((2, 2, 7, 7))
         w = rng.standard_normal((3, 2, 3, 3))
-        assert T.grad_check(lambda t: T.conv2d(t, Tensor(w), 2, 1), Tensor(x)) < 1e-6
-        assert T.grad_check(lambda t: T.conv2d(Tensor(x), t, 2, 1), Tensor(w)) < 1e-6
+        assert T.grad_check(lambda t: T.conv2d(t, Tensor(w), 2), Tensor(x)) < 1e-6
+        assert T.grad_check(lambda t: T.conv2d(Tensor(x), t, 2), Tensor(w)) < 1e-6
 
     def test_peak_memory_bound(self, rng):
         # the stem's second conv at a 1024 px input; one einsum over the whole
@@ -247,56 +253,55 @@ class TestConvChunks:
         tracemalloc.start()
         try:
             with T.no_grad():
-                out = T.conv2d(x, w, 2, 1)
+                out = T.conv2d(x, w, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= out.data.nbytes + 3 * T._CONV_CHUNK
 
 
-def _conv2d_dx_nchw_taps(g, w, x_shape, stride, pad):
+def _conv2d_dx_nchw_taps(g, w, x_shape, s):
     """The NCHW tap loop conv2d's backward ran before its channels-last scatter."""
-    (sh, sw), (ph, pw) = stride, pad
     n, c, h, wd = x_shape
-    kh, kw = w.shape[-2:]
+    k = w.shape[-1]
+    p = k // 2
     ho, wo = g.shape[2:]
-    dxp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), dtype=g.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += np.einsum(
+    dxp = np.zeros((n, c, h + 2 * p, wd + 2 * p), dtype=g.dtype)
+    for i in range(k):
+        for j in range(k):
+            dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += np.einsum(
                 "nopq,oc->ncpq", g, w[:, :, i, j], optimize=True)
-    return dxp[:, :, ph:ph + h, pw:pw + wd]
+    return dxp[:, :, p:p + h, p:p + wd]
 
 
-def _depthwise_dx_nchw_taps(g, w, x_shape, stride, pad):
+def _depthwise_dx_nchw_taps(g, w, x_shape, s):
     """The NCHW tap loop depthwise_conv2d's backward ran before its channels-last scatter."""
-    (sh, sw), (ph, pw) = stride, pad
     n, c, h, wd = x_shape
-    kh, kw = w.shape[-2:]
+    k = w.shape[-1]
+    p = k // 2
     ho, wo = g.shape[2:]
-    dxp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), dtype=g.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += g * w[None, :, i, j, None, None]
-    return dxp[:, :, ph:ph + h, pw:pw + wd]
+    dxp = np.zeros((n, c, h + 2 * p, wd + 2 * p), dtype=g.dtype)
+    for i in range(k):
+        for j in range(k):
+            dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += g * w[None, :, i, j, None, None]
+    return dxp[:, :, p:p + h, p:p + wd]
 
 
 class TestConvInputGradient:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("k", [1, 3])  # pad 0 and pad 1
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("op,w_lead,want_dx", [
         (T.conv2d, (5, 4), _conv2d_dx_nchw_taps),
         (T.depthwise_conv2d, (4,), _depthwise_dx_nchw_taps),
     ], ids=["conv2d", "depthwise"])
-    def test_dx_bit_equal_to_nchw_tap_loop(self, rng, op, w_lead, want_dx, stride, pad, k, dtype):
+    def test_dx_bit_equal_to_nchw_tap_loop(self, rng, op, w_lead, want_dx, stride, k, dtype):
         x = Tensor(rng.standard_normal((3, 4, 7, 6)).astype(dtype), requires_grad=True)
         w = Tensor(rng.standard_normal(w_lead + (k, k)).astype(dtype), requires_grad=True)
-        out = op(x, w, (stride, stride), (pad, pad))
+        out = op(x, w, stride)
         g = rng.standard_normal(out.shape).astype(dtype)
         T.backward(T.reduce_sum(T.mul(out, Tensor(g))))
-        want = want_dx(g, w.data, x.shape, (stride, stride), (pad, pad))
+        want = want_dx(g, w.data, x.shape, stride)
         assert x.grad.dtype == dtype
         assert x.grad.flags.c_contiguous  # downstream reductions sum in memory order
         assert np.array_equal(x.grad, want)
@@ -307,18 +312,18 @@ class TestConvInputGradient:
         # matmul over a [N*H*W, C_out] copy differs from the per-tap einsum.
         x = Tensor(rng.standard_normal((20, 24, 16, 16)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.standard_normal((32, 24, 3, 3)).astype(np.float32), requires_grad=True)
-        out = T.conv2d(x, w, (2, 2), (1, 1))
+        out = T.conv2d(x, w, 2)
         g = rng.standard_normal(out.shape).astype(np.float32)
         T.backward(T.reduce_sum(T.mul(out, Tensor(g))))
-        assert np.array_equal(x.grad, _conv2d_dx_nchw_taps(g, w.data, x.shape, (2, 2), (1, 1)))
+        assert np.array_equal(x.grad, _conv2d_dx_nchw_taps(g, w.data, x.shape, 2))
 
 
 def _weighted_ops(rng):
     """(op, x, weights): each op with an input and the weights it learns."""
     return {
-        "conv2d": (lambda x, w: T.conv2d(x, w[0], (2, 2), (1, 1)),
+        "conv2d": (lambda x, w: T.conv2d(x, w[0], 2),
                    rng.standard_normal((2, 3, 6, 5)), [rng.standard_normal((4, 3, 3, 3))]),
-        "depthwise": (lambda x, w: T.depthwise_conv2d(x, w[0], (1, 1), (1, 1)),
+        "depthwise": (lambda x, w: T.depthwise_conv2d(x, w[0]),
                       rng.standard_normal((2, 3, 5, 5)), [rng.standard_normal((3, 3, 3))]),
         "conv3d": (lambda x, w: T.conv3d(x, w[0], 2),
                    rng.standard_normal((2, 3, 9, 2, 3)), [rng.standard_normal((4, 3, 3))]),
@@ -772,7 +777,7 @@ class TestGraphLifetime:
         w = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
         gamma = Tensor(np.ones(4), requires_grad=True)
         beta = Tensor(np.zeros(4), requires_grad=True)
-        conv = T.conv2d(x, w, 1, 1)
+        conv = T.conv2d(x, w)
         conv_data = weakref.ref(conv.data)
         out = T.batchnorm(conv, gamma, beta, np.zeros(4), np.ones(4), "train")
         del conv
@@ -877,9 +882,9 @@ def _op_cases(rng):
         "mul": (lambda x: T.mul(x, T.add(x, Tensor(1.0, dtype=x.dtype))), (3, 4)),
         "relu": (lambda x: T.relu(x), (3, 4)),
         "sigmoid": (lambda x: T.sigmoid(x), (3, 4)),
-        "conv2d": (lambda x: T.conv2d(x, Tensor(w2), (2, 2), (1, 1)), (2, 3, 5, 5)),
+        "conv2d": (lambda x: T.conv2d(x, Tensor(w2), 2), (2, 3, 5, 5)),
         "conv3d": (lambda x: T.conv3d(x, Tensor(w3), 2), (2, 3, 7, 2, 2)),
-        "depthwise": (lambda x: T.depthwise_conv2d(x, Tensor(wd), (1, 1), (1, 1)), (2, 3, 4, 4)),
+        "depthwise": (lambda x: T.depthwise_conv2d(x, Tensor(wd)), (2, 3, 4, 4)),
         "mean": (lambda x: T.reduce_mean(x, axes=(1,)), (3, 4)),
         "sum": (lambda x: T.reduce_sum(x, axes=(0,)), (3, 4)),
         "reshape": (lambda x: T.reshape(x, (4, 3)), (3, 4)),
@@ -938,6 +943,6 @@ def test_wrong_rank_rejected(op, x_shape, w_shape):
 def test_determinism_bit_identical(rng):
     x = rng.standard_normal((1, 1, 6, 6))
     w = rng.standard_normal((2, 1, 3, 3))
-    a = T.conv2d(Tensor(x), Tensor(w), (1, 1), (1, 1)).data
-    b = T.conv2d(Tensor(x), Tensor(w), (1, 1), (1, 1)).data
+    a = T.conv2d(Tensor(x), Tensor(w)).data
+    b = T.conv2d(Tensor(x), Tensor(w)).data
     assert np.array_equal(a, b)
