@@ -184,7 +184,7 @@ class TestConvChunks:
         """x, w and the window bytes per output row; outputs are out_side wide.
 
         The 2-D convolutions pad by k // 2: 1x1 kernels read no padding, 3x3
-        kernels one row and column of it on each side."""
+        kernels one row and column of it on each side, 5x5 kernels two."""
         if name == "conv3d":  # rows run along H; the depth stride plays `stride`
             x, w = rng.standard_normal((5, 3, 20, out_side, out_side)), rng.standard_normal((4, 3, k))
             depth = (20 - k) // stride + 1
@@ -201,9 +201,10 @@ class TestConvChunks:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     # pad 0 and pad 1 as the model uses them: the 1x1 pointwise and the 3x3
-    # convolutions (a 1x1 depthwise einsum lays its output out N-major)
-    @pytest.mark.parametrize("name,k", [("conv2d", 1), ("conv2d", 3), ("depthwise_conv2d", 3),
-                                        ("conv3d", 5)])
+    # convolutions (a 1x1 depthwise einsum lays its output out N-major); the
+    # 5x5 pads by 2, so a row chunk's windows reach two rows past its own
+    @pytest.mark.parametrize("name,k", [("conv2d", 1), ("conv2d", 3), ("conv2d", 5),
+                                        ("depthwise_conv2d", 3), ("conv3d", 5)])
     @pytest.mark.parametrize("n", [5, 1])
     def test_bit_equal_to_whole_einsum(self, rng, monkeypatch, n, name, k, dtype, stride, plan):
         x, w, row = self._case(rng, name, dtype, stride, k)
@@ -289,7 +290,7 @@ def _depthwise_dx_nchw_taps(g, w, x_shape, s):
 
 class TestConvInputGradient:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("k", [1, 3])  # pad 0 and pad 1
+    @pytest.mark.parametrize("k", [1, 3, 5])  # pad 0, 1 and 2
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("op,w_lead,want_dx", [
         (T.conv2d, (5, 4), _conv2d_dx_nchw_taps),
