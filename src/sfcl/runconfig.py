@@ -34,8 +34,8 @@ _SECTIONS = {
 
 # The one range rule: every number in a config is finite and positive, and
 # these keys may also be zero.
-_ZERO_ALLOWED = frozenset({"train.seed", "train.weight_decay", "synth.seed", "synth.grain",
-                           "synth.smooth_passes"})
+_ZERO_ALLOWED = frozenset({"train.seed", "train.learning_rate", "train.weight_decay", "synth.seed",
+                           "synth.grain", "synth.smooth_passes"})
 # Width keys also have a maximum, 4x the widest shipped width (2048), so a
 # mistyped width fails here and not in numpy's allocator: one 8192 x 8192
 # float64 weight is already 512 MiB.

@@ -25,9 +25,9 @@ Design constraints honoured throughout:
   skips ``None``),
 * convolution uses the cross-correlation convention (no kernel flip); a
   2-D one pads by k // 2 for its odd square kernel k, keeping the size,
-* ``attention`` never builds its [B, M, L] score map: each chunk it
-  computes always covers whole score rows, so every row's softmax runs on
-  complete rows, as an unfused matmul, softmax, matmul chain's does,
+* ``attention``'s forward and backward walk one plan of chunks of whole
+  score rows: neither builds the [B, M, L] score map, and each softmax
+  runs on complete rows, as an unfused matmul, softmax, matmul chain's,
 * the convolution forwards never hold their whole input's padded copy or
   window copy, only one chunk's (``_CONV_CHUNK``).
 """
@@ -402,8 +402,9 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     parents = (x, w) if b is None else (x, w, b)
     _check_same_precision("linear", *parents)
     xd, wd = x.data, w.data
-    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
-        raise ShapeError(f"linear: expected [..., in] input and [in, out] weight, got {x.shape} and {w.shape}")
+    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0] or min(wd.shape) < 1:
+        raise ShapeError(f"linear: expected [..., in] input and [in, out] weight with in, out >= 1, "
+                         f"got {x.shape} and {w.shape}")
     d_in, d_out = wd.shape
     if b is not None and b.shape != (d_out,):
         raise ShapeError(f"linear: bias shape {b.shape} does not match output width {d_out}")
@@ -438,17 +439,16 @@ def _softmax_last_(s: np.ndarray) -> np.ndarray:
     return s
 
 
-def _chunks(n: int, rows: int, row_size: int, budget: int, min_rows: int,
-            split_rows: bool = True) -> list:
+def _chunks(n: int, rows: int, row_size: int, budget: int, min_rows: int) -> list:
     """(sample slice, row slice) pairs that cover [N, rows] in whole rows.
 
     A sample costs ``rows * row_size`` of a per-chunk ``budget``. A chunk is
-    as many whole samples as fit in the budget, at least one. With
-    ``split_rows``, a sample that does not fit is cut into chunks of as many
-    rows as fit, at least ``min_rows``.
+    as many whole samples as fit in the budget, at least one. A sample that
+    does not fit is cut into chunks of as many rows as fit, at least
+    ``min_rows``.
     """
     per_sample = rows * row_size
-    if per_sample <= budget or not split_rows:
+    if per_sample <= budget:
         step = max(1, budget // per_sample)
         return [(slice(i, i + step), slice(None)) for i in range(0, n, step)]
     step = max(min_rows, budget // row_size)
@@ -473,16 +473,15 @@ def _attention_probs(q: np.ndarray, kt: np.ndarray, scale: np.ndarray) -> np.nda
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     """Row softmax of ``q @ kᵀ · scale``, times v, without the [B, M, L] score map.
 
-    q: [B, M, d], k: [B, L, d], v: [B, L, dv] -> [B, M, dv]. The forward
-    runs the unfused chain's steps on one chunk of whole score rows at a
-    time and writes its ``@ v`` into the output slice. The graph keeps q, k
-    and v; backward recomputes the probabilities a chunk of whole samples
-    at a time and applies the chain's formulas, so the gradients equal the
-    chain's bit for bit. So does the output while a chunk holds whole
-    samples (maps of up to ``_ATTN_CHUNK`` scores). A larger map is cut
-    into chunks of rows, and BLAS may round the product of some rows
-    differently from the same rows of the whole product, so there the
-    output can differ from the chain's in the last bits.
+    q: [B, M, d], k: [B, L, d], v: [B, L, dv] -> [B, M, dv]. The forward and
+    the backward walk one plan of chunks: whole samples while a sample's map
+    fits ``_ATTN_CHUNK`` scores, else rows of one sample. On a chunk the
+    forward runs the unfused chain's steps into the output's rows; the
+    backward recomputes the chunk's probabilities, writes its rows of dq and
+    adds its terms to dk and dv. With whole samples the output and gradients
+    equal the chain's bit for bit. With rows, BLAS may round some rows'
+    product apart from the whole product's, and dk and dv sum over chunks,
+    so they can differ from the chain's in the last bits.
     """
     _check_same_precision("attention", q, k, v)
     qd, kd, vd = q.data, k.data, v.data
@@ -497,22 +496,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     kt = kd.transpose(0, 2, 1)
     scale = np.asarray(scale, dtype=qd.dtype)  # as mul's scalar operand
     out = np.empty((b, m, vd.shape[2]), dtype=qd.dtype)
-    for n, r in _chunks(b, m, l, _ATTN_CHUNK, _ATTN_ROWS):
+    plan = _chunks(b, m, l, _ATTN_CHUNK, _ATTN_ROWS)
+    for n, r in plan:
         np.matmul(_attention_probs(qd[n, r], kt[n], scale), vd[n], out=out[n, r])
 
     def bw(g):
         dq = np.empty(qd.shape, dtype=qd.dtype)
-        dkt = np.empty((b, kd.shape[2], l), dtype=kd.dtype)
-        dv = np.empty(vd.shape, dtype=vd.dtype)
-        for n, _ in _chunks(b, m, l, _ATTN_CHUNK, _ATTN_ROWS, split_rows=False):
-            p = _attention_probs(qd[n], kt[n], scale)
-            np.matmul(p.transpose(0, 2, 1), g[n], out=dv[n])
-            ds = g[n] @ vd[n].transpose(0, 2, 1)  # gradient of the probabilities
+        dkt = np.zeros((b, kd.shape[2], l), dtype=kd.dtype)
+        dv = np.zeros(vd.shape, dtype=vd.dtype)
+        for n, r in plan:
+            p = _attention_probs(qd[n, r], kt[n], scale)
+            dv[n] += p.transpose(0, 2, 1) @ g[n, r]
+            ds = g[n, r] @ vd[n].transpose(0, 2, 1)  # gradient of the probabilities
             ds -= (ds * p).sum(axis=-1, keepdims=True)
             ds *= p
             ds *= scale
-            np.matmul(ds, kd[n], out=dq[n])
-            np.matmul(qd[n].transpose(0, 2, 1), ds, out=dkt[n])
+            np.matmul(ds, kd[n], out=dq[n, r])
+            dkt[n] += qd[n, r].transpose(0, 2, 1) @ ds
         # dk as the transposed view transpose's backward hands on
         return dq, dkt.transpose(0, 2, 1), dv
 
@@ -541,13 +541,13 @@ def _channel_major(shape: tuple, dtype) -> np.ndarray:
     return np.empty((shape[1], shape[0]) + shape[2:], dtype=dtype).swapaxes(0, 1)
 
 
-def _conv2d_geometry(op: str, x: np.ndarray, kh: int, kw: int, stride: int) -> tuple:
+def _conv2d_geometry(op: str, x: np.ndarray, w: np.ndarray, stride: int) -> tuple:
     """(k, s, p, Ho, Wo) for an odd square kernel k padded by p = k // 2 per side."""
-    h, w = x.shape[2:]
-    if kh != kw or kh % 2 == 0 or h < 1 or w < 1:
-        raise ShapeError(f"{op}: expected an odd square kernel and a non-empty input, "
-                         f"got kernel ({kh},{kw}) and input {x.shape}")
-    return kh, stride, kh // 2, (h - 1) // stride + 1, (w - 1) // stride + 1
+    kh, kw = w.shape[-2:]
+    if kh != kw or kh % 2 == 0 or min(x.shape[1:] + w.shape) < 1:
+        raise ShapeError(f"{op}: expected a non-empty input and a non-empty odd square kernel, "
+                         f"got input {x.shape} and kernel {w.shape}")
+    return kh, stride, kh // 2, (x.shape[2] - 1) // stride + 1, (x.shape[3] - 1) // stride + 1
 
 
 def _windows(x: np.ndarray, rows: slice, ho: int, k: int, s: int, p: int) -> np.ndarray:
@@ -587,10 +587,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     if xd.ndim != 4 or wd.ndim != 4:
         raise ShapeError(f"conv2d: expected [N,C_in,H,W] input and 4D kernel, got {x.shape} and {w.shape}")
     n, ci, h, wd_ = xd.shape
-    co, ci_w, kh, kw = wd.shape
+    co, ci_w = wd.shape[:2]
     if ci != ci_w:
         raise ShapeError(f"conv2d: input channels {ci} do not match kernel channels {ci_w}")
-    k, s, p, ho, wo = _conv2d_geometry("conv2d", xd, kh, kw, stride)
+    k, s, p, ho, wo = _conv2d_geometry("conv2d", xd, wd, stride)
 
     out = _channel_major((n, co, ho, wo), xd.dtype)
     for ns, rs in _chunks(n, ho, ci * k * k * wo * xd.itemsize, _CONV_CHUNK, 1):
@@ -633,10 +633,9 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
         raise ShapeError(
             f"depthwise_conv2d: expected [N,C,H,W] input and [C,kh,kw] kernel, got {x.shape} and {w.shape}")
     n, c, h, wd_ = xd.shape
-    cw, kh, kw = wd.shape
-    if c != cw:
-        raise ShapeError(f"depthwise_conv2d: channels {c} do not match kernel channels {cw}")
-    k, s, p, ho, wo = _conv2d_geometry("depthwise_conv2d", xd, kh, kw, stride)
+    if c != wd.shape[0]:
+        raise ShapeError(f"depthwise_conv2d: channels {c} do not match kernel channels {wd.shape[0]}")
+    k, s, p, ho, wo = _conv2d_geometry("depthwise_conv2d", xd, wd, stride)
 
     out = _channel_major((n, c, ho, wo), xd.dtype)
     for ns, rs in _chunks(n, ho, c * k * k * wo * xd.itemsize, _CONV_CHUNK, 1):
@@ -679,6 +678,8 @@ def conv3d(x: Tensor, w: Tensor, stride_d: int = 1) -> Tensor:
     co, ci_w, kd = wd.shape
     if ci != ci_w:
         raise ShapeError(f"conv3d: input channels {ci} do not match kernel channels {ci_w}")
+    if min(xd.shape[1:] + wd.shape) < 1:
+        raise ShapeError(f"conv3d: expected a non-empty input and kernel, got {x.shape} and {w.shape}")
     if kd > d:
         raise ShapeError(f"conv3d: kernel depth {kd} exceeds input depth {d}")
     do = (d - kd) // stride_d + 1
@@ -726,11 +727,10 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
     """
     if mode not in ("train", "infer"):
         raise UsageError(f"batchnorm mode must be 'train' or 'infer', got {mode!r}")
-    if x.ndim < 2:
-        raise ShapeError(f"batchnorm expects [N,C,...] input, got shape {x.shape}")
+    if x.ndim < 2 or x.shape[1] < 1 or not gamma.shape == beta.shape == x.shape[1:2]:
+        raise ShapeError(f"batchnorm: expected [N,C,...] input with C >= 1 and [C] scale and shift, "
+                         f"got {x.shape}, {gamma.shape} and {beta.shape}")
     c = x.shape[1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(f"batchnorm: scale/shift must have shape ({c},), got {gamma.shape}/{beta.shape}")
     _check_same_precision("batchnorm", x, gamma, beta)
     axes = (0,) + tuple(range(2, x.ndim))
     bshape = (1, c) + (1,) * (x.ndim - 2)

@@ -293,9 +293,9 @@ class TestRunConfig:
             run_config_from_dict({section: {key: value}})
 
     def test_zero_where_the_range_rule_allows_it(self):
-        run = run_config_from_dict({"train": {"seed": 0, "weight_decay": 0},
+        run = run_config_from_dict({"train": {"seed": 0, "learning_rate": 0, "weight_decay": 0},
                                     "synth": {"seed": 0, "grain": 0, "smooth_passes": 0}})
-        assert run.train.weight_decay == 0.0 and run.synth.smooth_passes == 0
+        assert run.train.learning_rate == run.train.weight_decay == 0.0 and run.synth.smooth_passes == 0
 
     @pytest.mark.parametrize("section, key, value", [
         ("backbone", "output_dim", 1 << 40), ("hcma", "embed_dim", 1 << 40),
