@@ -382,7 +382,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        with np.errstate(all="ignore"):  # explicit checks report non-finite results
+            return args.fn(args)
     except UsageError as exc:
         return _fail("usage", exc, 1)
     except InputError as exc:

@@ -33,6 +33,8 @@ def metric_auc(scores, labels) -> float:
     neg = int(y.size - pos)
     if pos == 0 or neg == 0:
         raise UsageError("AUC needs at least one positive and one negative label")
+    if not np.isfinite(s).all():
+        raise UsageError("AUC needs finite scores")
 
     order = np.argsort(s, kind="stable")
     sorted_scores = s[order]

@@ -23,7 +23,6 @@ from .tensor import Tensor
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-ADAM_CHUNK = 16384  # elements per float64 work buffer: 128 KiB, cache-sized
 
 
 @dataclass
@@ -51,23 +50,31 @@ def bce_loss(logits: Tensor, labels) -> Tensor:
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
               t: int, lr: float, weight_decay: float = 0.0) -> None:
-    """One in-place Adam update with bias correction; t is 1-based."""
+    """One in-place Adam update with bias correction; t is 1-based.
+
+    Each array keeps its dtype; the intermediates share two work arrays."""
     if not (theta.shape == grad.shape == m.shape == v.shape):
         raise ShapeError(
             f"adam_step: mismatched shapes theta {theta.shape}, grad {grad.shape}, "
             f"m {m.shape}, v {v.shape}")
-    g = grad + weight_decay * theta
+    g = np.multiply(theta, weight_decay, out=np.empty_like(theta))
+    g += grad
+    work = np.multiply(g, 1 - ADAM_BETA1, out=np.empty_like(theta))
     m *= ADAM_BETA1
-    m += (1 - ADAM_BETA1) * g
+    m += work
+    g *= g
+    g *= 1 - ADAM_BETA2
     v *= ADAM_BETA2
-    v += (1 - ADAM_BETA2) * (g * g)
-    m_hat = m / (1 - ADAM_BETA1 ** t)
-    v_hat = v / (1 - ADAM_BETA2 ** t)
-    theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    v += g
+    m_hat = np.divide(m, 1 - ADAM_BETA1 ** t, out=g)
+    denom = np.sqrt(np.divide(v, 1 - ADAM_BETA2 ** t, out=work), out=work)
+    denom += ADAM_EPS
+    m_hat *= lr
+    theta -= np.divide(m_hat, denom, out=m_hat)
 
 
 class Adam:
-    """Adam over a named parameter list, one state slot per tensor."""
+    """Adam over a named parameter list; the moments take each parameter's dtype."""
 
     def __init__(self, params: Sequence[Tuple[str, Tensor]], lr: float,
                  weight_decay: float = 0.0):
@@ -75,33 +82,19 @@ class Adam:
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = [np.zeros(t_.shape) for _, t_ in self.params]  # C-ordered float64
-        self.v = [np.zeros(t_.shape) for _, t_ in self.params]
+        self.m = [np.zeros_like(p.data) for _, p in self.params]
+        self.v = [np.zeros_like(p.data) for _, p in self.params]
 
     def zero_grads(self) -> None:
         for _, p in self.params:
             p.grad = None
 
     def step(self) -> None:
-        """Update every parameter with a gradient, writing into ``p.data``.
-
-        ``adam_step`` runs in float64 on chunks of ``ADAM_CHUNK`` elements so
-        its temporaries stay in cache; it is elementwise, so the result is
-        the same as one whole-tensor call.
-        """
+        """Update every parameter with a gradient, writing into ``p.data``."""
         self.t += 1
-        for (name, p), m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                continue
-            if not p.data.flags.c_contiguous:  # reshape(-1) must be a view
-                p.data = np.ascontiguousarray(p.data)
-            theta, grad, m, v = (a.reshape(-1) for a in (p.data, p.grad, m, v))
-            for s in range(0, theta.size, ADAM_CHUNK):
-                e = s + ADAM_CHUNK
-                chunk = theta[s:e].astype(np.float64)
-                adam_step(chunk, grad[s:e].astype(np.float64), m[s:e], v[s:e], self.t,
-                          self.lr, self.weight_decay)
-                theta[s:e] = chunk
+        for (_, p), m, v in zip(self.params, self.m, self.v):
+            if p.grad is not None:
+                adam_step(p.data, p.grad, m, v, self.t, self.lr, self.weight_decay)
 
 
 def _batches(n: int, batch_size: int, order: np.ndarray):
@@ -166,4 +159,7 @@ def evaluate(model: Detector, samples: Sequence[Sample],
             rows = slice(start, start + batch_size)  # views, not copies, of the frontend
             _, p = model.forward(frontend.subset(rows), mode="infer")
             probs[rows] = p.data
+    bad = int(np.count_nonzero(~np.isfinite(probs)))
+    if bad:
+        raise NumericError(f"inference gave {bad} non-finite probabilities of {probs.size}")
     return probs, frontend.labels

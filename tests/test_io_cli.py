@@ -6,6 +6,7 @@ import json
 import os
 import struct
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -696,6 +697,47 @@ class TestCli:
         assert len(lines) == 1 and not captured.out
         err = json.loads(lines[0])
         assert err["type"] == "FormatError" and "model.classifier.head.b" in err["message"]
+
+    def test_eval_overflowing_inference_is_numeric_error(self, tmp_path, capsys):
+        # finite weights: a 1e30 batch-norm shift feeds a head of alternating
+        # +-3e38, whose sum is inf - inf, so every probability is NaN
+        cfg = _tiny_config(tmp_path)
+        data = str(tmp_path / "data")
+        model = str(tmp_path / "m.sfcl")
+        assert cli.main(["dataset-synth", "--out", data, "--config", cfg]) == 0
+        assert cli.main(["train", "--config", cfg, "--data", data, "--out", model]) == 0
+        state = load_model(model)
+        w = state["model.classifier.head.w"]
+        w[:] = 3e38
+        w[1::2] = -3e38
+        state["model.hcma.bn.beta"][:] = 1e30
+        save_model(model, state)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would be a second stderr line
+            code = cli.main(["eval", "--config", cfg, "--data", data, "--model", model])
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert code == 3 and len(lines) == 1 and not captured.out
+        err = json.loads(lines[0])
+        assert err["type"] == "NumericError" and "non-finite" in err["message"]
+
+    def test_train_diverging_is_one_numeric_error_line(self, tmp_path, capsys):
+        cfg = _tiny_config(tmp_path)
+        doc = json.loads(open(cfg).read())
+        doc["train"]["learning_rate"] = 1e30
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh)
+        data = str(tmp_path / "data")
+        assert cli.main(["dataset-synth", "--out", data, "--config", cfg]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["train", "--config", cfg, "--data", data,
+                             "--out", str(tmp_path / "m.sfcl")])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 3 and len(lines) == 1
+        assert json.loads(lines[0])["type"] == "NumericError"
 
     def test_train_config_value_type_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

@@ -570,6 +570,19 @@ class TestElementwise:
         assert np.isfinite(out).all()
         assert out[0] == 0.0 and out[1] == 1.0
 
+    def test_saturated_sigmoid_gradient_has_no_subnormals(self):
+        x = Tensor(np.linspace(-100, -88, 241, dtype=np.float32), requires_grad=True)
+        T.backward(T.reduce_sum(T.sigmoid(x)))  # upstream gradient 1 per element
+        g = np.abs(x.grad)
+        assert x.grad.dtype == np.float32
+        assert not ((g > 0) & (g < np.finfo(np.float32).tiny)).any()
+
+    def test_zero_dim_sigmoid_gradient(self):
+        x = Tensor(np.array(-95.0, dtype=np.float32), requires_grad=True)
+        y = Tensor(np.array(1.5, dtype=np.float32), requires_grad=True)
+        T.backward(T.mul(T.sigmoid(x), y))
+        assert x.grad == 0 and x.grad.dtype == np.float32
+
 
 class TestReduce:
     def test_mean_all(self):

@@ -110,19 +110,17 @@ class TestAdam:
         with pytest.raises(UsageError):
             adam_step(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3), 1, 0.1)
 
-    def test_chunked_step_bit_equal_to_whole_tensor(self, rng):
-        # 40,000 elements: more than one chunk and not a multiple of it
+    def test_state_follows_the_parameter_precision(self, rng):
         p = Tensor(rng.standard_normal((200, 200)).astype(np.float32), requires_grad=True)
         opt = Adam([("p", p)], lr=0.01, weight_decay=1e-3)
+        assert opt.m[0].dtype == opt.v[0].dtype == np.float32
         want = p.data.copy()
-        m, v = np.zeros((200, 200)), np.zeros((200, 200))
+        m, v = np.zeros_like(want), np.zeros_like(want)
+        data = p.data
         for t in range(1, 6):
             p.grad = rng.standard_normal((200, 200)).astype(np.float32)
-            data = p.data
             opt.step()
-            theta = want.astype(np.float64)
-            adam_step(theta, p.grad.astype(np.float64), m, v, t, 0.01, 1e-3)
-            want = theta.astype(np.float32)
+            adam_step(want, p.grad, m, v, t, 0.01, 1e-3)
             assert p.data is data
             assert np.array_equal(p.data, want)
             assert np.array_equal(opt.m[0], m) and np.array_equal(opt.v[0], v)
@@ -130,12 +128,34 @@ class TestAdam:
     def test_non_c_ordered_parameter_is_updated(self, rng):
         p = Tensor(np.asfortranarray(rng.standard_normal((30, 20))), requires_grad=True)
         opt = Adam([("p", p)], lr=0.01)
+        data = p.data
         want, m, v = p.data.copy(), np.zeros((30, 20)), np.zeros((30, 20))
         for t in (1, 2):
             p.grad = rng.standard_normal((30, 20))
             adam_step(want, p.grad, m, v, t, 0.01)
             opt.step()
+            assert p.data is data
             assert np.array_equal(p.data, want)
+
+    def test_zero_dim_parameter_is_updated_in_place(self):
+        p = Tensor(np.array(0.5, dtype=np.float32), requires_grad=True)
+        opt = Adam([("p", p)], lr=0.01)
+        data = p.data
+        want, m, v = np.array(0.5, dtype=np.float32), np.zeros((), np.float32), np.zeros((), np.float32)
+        assert opt.m[0].shape == () and opt.m[0].dtype == np.float32
+        for t in (1, 2, 3):
+            p.grad = np.array(0.25 * t, dtype=np.float32)
+            adam_step(want, p.grad, m, v, t, 0.01)
+            opt.step()
+            assert p.data is data and p.data.shape == ()
+            assert np.array_equal(p.data, want) and p.data != 0.5
+
+    def test_desk_state_holds_twice_the_parameter_bytes(self):
+        model = Detector(desk_detector_config())
+        opt = Adam(model.trainables(), lr=0.001)
+        param_bytes = sum(p.data.nbytes for _, p in opt.params)
+        state_bytes = sum(a.nbytes for a in opt.m + opt.v)
+        assert state_bytes == 2 * param_bytes
 
 
 def _tiny_samples(count, seed):
@@ -344,3 +364,8 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(UsageError):
             metric_auc([0.1, 0.9], [1, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(UsageError, match="finite"):
+            metric_auc([bad, 0.2, 0.9, bad], [0, 0, 1, 1])
