@@ -60,7 +60,7 @@ class DetectorConfig:
 @dataclass
 class FrontendBatch:
     """Cached gradient-free inputs for one batch of same-sized crops."""
-    pixels: np.ndarray      # [N,3,H,W] in [0,1]
+    pixels: np.ndarray      # [N,3,H,W] in [0,255], as the images hold them
     spectra: np.ndarray     # [N,3,64,Hb,Wb]
     descriptors: np.ndarray  # [N,2304]
     labels: Optional[np.ndarray] = None
@@ -81,26 +81,27 @@ def extract_frontend(images: Sequence[PlanarImage],
     """Run the fixed frontend once per image, writing each into its own row.
 
     All grid-cropped regions must share one size so they can form a batch.
-    The outputs are C-ordered whatever the layout of the input planes.
+    The outputs are C-ordered whatever the layout of the input planes. Pixels
+    keep the images' samples (``uint8`` if all are); ``dtype`` sets the rest.
     """
     if not images:
         raise InputError("the frontend needs at least one image")
     if bboxes is None:
         bboxes = [None] * len(images)
     n = len(images)
+    px_dtype = np.result_type(*{img.pixels.dtype for img in images})
     pixels = spectra_out = descriptors = None
     for i, (img, bbox) in enumerate(zip(images, bboxes)):
         rgb = crop_to_grid(img, bbox)
         spectra = restructure(rgb)
         if pixels is None:
-            pixels = np.empty((n,) + rgb.pixels.shape, dtype=dtype)
+            pixels = np.empty((n,) + rgb.pixels.shape, dtype=px_dtype)
             spectra_out = np.empty((n,) + spectra.coefficients.shape, dtype=dtype)
             descriptors = np.empty((n, DESCRIPTOR_LENGTH), dtype=dtype)
         elif rgb.pixels.shape != pixels.shape[1:]:
             raise InputError(
                 f"cannot batch crops of different sizes: {rgb.pixels.shape} vs {pixels.shape[1:]}")
-        # float64 math, rounded to dtype on store
-        np.divide(rgb.pixels, 255.0, out=pixels[i], dtype=np.float64, casting="unsafe")
+        pixels[i] = rgb.pixels
         spectra_out[i] = spectra.coefficients
         descriptors[i] = sida_descriptor(spectra).values
     lab = None if labels is None else np.asarray(labels, dtype=np.int64)
@@ -157,7 +158,8 @@ class Detector(Layer):
         if mode not in ("train", "infer"):
             raise UsageError(f"mode must be 'train' or 'infer', got {mode!r}")
         dt = self.cfg.dtype
-        x_img = Tensor(np.ascontiguousarray(batch.pixels, dtype=dt))
+        x_img = Tensor(np.divide(batch.pixels, 255.0, out=np.empty(batch.pixels.shape, dt),
+                                 dtype=np.float64, casting="unsafe"))  # to [0,1], rounded on store
         x_spec = Tensor(np.ascontiguousarray(batch.spectra, dtype=dt))
         d = Tensor(np.ascontiguousarray(batch.descriptors, dtype=dt))
         n = len(batch)

@@ -47,7 +47,7 @@ class SpatialBackbone(Layer):
         self.head = LinearLayer(cfg.widths[-1], cfg.output_dim, rng, dtype)
 
     def stem_forward(self, img: Tensor, mode: str = "infer") -> Tensor:
-        """Pixels in [0,1], shape [N,3,H,W] with H,W divisible by 8 -> [N,C,H/8,W/8]."""
+        """Pixels scaled to [0,1], shape [N,3,H,W] with H,W divisible by 8 -> [N,C,H/8,W/8]."""
         h, w = img.shape[-2:]
         if h % 8 or w % 8:
             raise ShapeError(f"stem needs dims divisible by 8, got {h}x{w}; grid-crop upstream")

@@ -139,11 +139,11 @@ def _fake_blend(pixels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _quantize(pixels: np.ndarray) -> np.ndarray:
-    return np.clip(np.rint(pixels), 0, 255).astype(np.float64)
+    return np.clip(np.rint(pixels), 0, 255).astype(np.uint8)
 
 
 def make_pair(cfg: SynthConfig, index: int) -> tuple:
-    """Deterministic (real, fake) pixel pair for one sample index."""
+    """Deterministic (real, fake) ``uint8`` pixel pair for one sample index."""
     rng = np.random.default_rng((cfg.seed, index))
     real = _base_texture(rng, cfg.height, cfg.width, cfg.grain, cfg.smooth_passes)
     recipe = cfg.recipe

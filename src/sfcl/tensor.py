@@ -28,14 +28,16 @@ Design constraints honoured throughout:
 * ``attention``'s forward and backward walk one plan of chunks of whole
   score rows: neither builds the [B, M, L] score map, and each softmax
   runs on complete rows, as an unfused matmul, softmax, matmul chain's,
-* the convolution forwards never hold their whole input's padded copy or
-  window copy, only one chunk's (``_CONV_CHUNK``).
+* the convolution forwards, and the 2-D ones' weight gradients, never hold
+  their whole input's padded or window copy, only one chunk's (``_CONV_CHUNK``).
 """
 
 from __future__ import annotations
 
 import contextlib
 from contextvars import ContextVar
+from functools import reduce
+from operator import iadd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -568,6 +570,14 @@ def _windows(x: np.ndarray, rows: slice, ho: int, k: int, s: int, p: int) -> np.
     return sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
 
 
+def _weight_grad(spec: str, g: np.ndarray, xd: np.ndarray, plan: list, geometry: tuple) -> np.ndarray:
+    """The ``spec`` einsum of g with xd's windows, rebuilt chunk by chunk over
+    the forward's plan and summed in place from the first chunk's product, not
+    from zeros (0.0 + -0.0 is +0.0): a one-chunk plan gives one einsum's bits."""
+    return reduce(iadd, (np.einsum(spec, g[ns, :, rs], _windows(xd[ns], rs, *geometry), optimize=True)
+                         for ns, rs in plan))
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     """2D cross-correlation. x: [N,C_in,H,W]; w: [C_out,C_in,k,k], k odd.
 
@@ -581,7 +591,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     einsum's in every case tested, the desk model's training and inference
     on 64 to 1024 px crops among them. Elsewhere BLAS may round a chunk's
     product apart from the whole one in the last bits, as an einsum over
-    fewer samples already can.
+    fewer samples already can. The weight gradient sums one einsum per chunk
+    of the same plan, so over several chunks it can differ in the last bits.
     """
     _check_same_precision("conv2d", x, w)
     xd, wd = x.data, w.data
@@ -594,16 +605,14 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     k, s, p, ho, wo = _conv2d_geometry("conv2d", xd, wd, stride)
 
     out = _channel_major((n, co, ho, wo), xd.dtype)
-    for ns, rs in _chunks(n, ho, ci * k * k * wo * xd.itemsize, _CONV_CHUNK, 1):
+    plan = _chunks(n, ho, ci * k * k * wo * xd.itemsize, _CONV_CHUNK, 1)
+    for ns, rs in plan:
         np.einsum("ncpqij,ocij->nopq", _windows(xd[ns], rs, ho, k, s, p), wd,
                   out=out[ns, :, rs], optimize=True)
     x_grad, w_grad = x.requires_grad, w.requires_grad
 
     def bw(g):
-        dw = None
-        if w_grad:  # the padded input is built again, not kept from the forward
-            win = _windows(xd, slice(None), ho, k, s, p)
-            dw = np.einsum("nopq,ncpqij->ocij", g, win, optimize=True)
+        dw = _weight_grad("nopq,ncpqij->ocij", g, xd, plan, (ho, k, s, p)) if w_grad else None
         if not x_grad:
             return None, dw
         # Channels-last accumulator: each tap adds rows of C contiguous values.
@@ -639,16 +648,14 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     k, s, p, ho, wo = _conv2d_geometry("depthwise_conv2d", xd, wd, stride)
 
     out = _channel_major((n, c, ho, wo), xd.dtype)
-    for ns, rs in _chunks(n, ho, c * k * k * wo * xd.itemsize, _CONV_CHUNK, 1):
+    plan = _chunks(n, ho, c * k * k * wo * xd.itemsize, _CONV_CHUNK, 1)
+    for ns, rs in plan:
         np.einsum("ncpqij,cij->ncpq", _windows(xd[ns], rs, ho, k, s, p), wd,
                   out=out[ns, :, rs], optimize=True)
     x_grad, w_grad = x.requires_grad, w.requires_grad
 
     def bw(g):
-        dw = None
-        if w_grad:
-            win = _windows(xd, slice(None), ho, k, s, p)
-            dw = np.einsum("ncpq,ncpqij->cij", g, win, optimize=True)
+        dw = _weight_grad("ncpq,ncpqij->cij", g, xd, plan, (ho, k, s, p)) if w_grad else None
         if not x_grad:
             return None, dw
         # Channels-last accumulator, handed on C-ordered, as in conv2d.

@@ -154,12 +154,13 @@ def evaluate(model: Detector, samples: Sequence[Sample],
                                     dtype=model.cfg.dtype,
                                     labels=[s.label for s in samples])
     probs = np.empty(len(frontend), dtype=np.float64)
+    bad = 0
     with T.no_grad():
         for start in range(0, len(frontend), batch_size):
             rows = slice(start, start + batch_size)  # views, not copies, of the frontend
-            _, p = model.forward(frontend.subset(rows), mode="infer")
+            logits, p = model.forward(frontend.subset(rows), mode="infer")
+            bad += int(np.count_nonzero(~np.isfinite(logits.data)))
             probs[rows] = p.data
-    bad = int(np.count_nonzero(~np.isfinite(probs)))
     if bad:
-        raise NumericError(f"inference gave {bad} non-finite probabilities of {probs.size}")
+        raise NumericError(f"inference gave {bad} non-finite logits of {probs.size}")
     return probs, frontend.labels

@@ -698,9 +698,10 @@ class TestCli:
         err = json.loads(lines[0])
         assert err["type"] == "FormatError" and "model.classifier.head.b" in err["message"]
 
-    def test_eval_overflowing_inference_is_numeric_error(self, tmp_path, capsys):
-        # finite weights: a 1e30 batch-norm shift feeds a head of alternating
-        # +-3e38, whose sum is inf - inf, so every probability is NaN
+    @staticmethod
+    def _eval_overflowing_head(tmp_path, capsys, alternate):
+        """``sfcl eval`` after a 1e30 batch-norm shift feeds a head of 3e38
+        weights, alternating in sign or not; returns (exit code, stderr lines)."""
         cfg = _tiny_config(tmp_path)
         data = str(tmp_path / "data")
         model = str(tmp_path / "m.sfcl")
@@ -709,7 +710,8 @@ class TestCli:
         state = load_model(model)
         w = state["model.classifier.head.w"]
         w[:] = 3e38
-        w[1::2] = -3e38
+        if alternate:
+            w[1::2] = -3e38
         state["model.hcma.bn.beta"][:] = 1e30
         save_model(model, state)
         capsys.readouterr()
@@ -717,10 +719,22 @@ class TestCli:
             warnings.simplefilter("error")  # a numpy warning would be a second stderr line
             code = cli.main(["eval", "--config", cfg, "--data", data, "--model", model])
         captured = capsys.readouterr()
-        lines = captured.err.splitlines()
-        assert code == 3 and len(lines) == 1 and not captured.out
+        assert not captured.out
+        return code, captured.err.splitlines()
+
+    def test_eval_overflowing_inference_is_numeric_error(self, tmp_path, capsys):
+        # finite weights whose sum is inf - inf, so every logit is NaN
+        code, lines = self._eval_overflowing_head(tmp_path, capsys, alternate=True)
+        assert code == 3 and len(lines) == 1
         err = json.loads(lines[0])
         assert err["type"] == "NumericError" and "non-finite" in err["message"]
+
+    def test_eval_logits_overflowing_to_inf_is_numeric_error(self, tmp_path, capsys):
+        # every logit is +inf, whose probability sigmoid(inf) = 1.0 is finite
+        code, lines = self._eval_overflowing_head(tmp_path, capsys, alternate=False)
+        assert code == 3 and len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["type"] == "NumericError" and "8 non-finite logits" in err["message"]
 
     def test_train_diverging_is_one_numeric_error_line(self, tmp_path, capsys):
         cfg = _tiny_config(tmp_path)

@@ -6,6 +6,7 @@ import pytest
 from sfcl.checks import tiny_detector_config
 from sfcl.errors import ConfigError, FormatError, InputError
 from sfcl.frequency import PlanarImage
+from sfcl.io import read_ppm, write_ppm
 from sfcl.model import (Detector, DetectorConfig, desk_detector_config,
                         extract_frontend)
 from sfcl.spatial import BackboneConfig
@@ -15,6 +16,14 @@ from sfcl.train import evaluate
 def _batch(rng, n=2, size=16, dtype=np.float64):
     images = [PlanarImage(rng.uniform(0, 255, (3, size, size)), "rgb") for _ in range(n)]
     return extract_frontend(images, dtype=dtype, labels=list(range(n)) and [i % 2 for i in range(n)])
+
+
+def _ppm_images(rng, tmp_path, shape, n=2):
+    """n random 8-bit planes, and the images read back from PPMs of them."""
+    planes = [rng.integers(0, 256, shape, dtype=np.uint8) for _ in range(n)]
+    for i, p in enumerate(planes):
+        write_ppm(tmp_path / f"{i}.ppm", PlanarImage(p, "rgb"))
+    return planes, [read_ppm(tmp_path / f"{i}.ppm") for i in range(n)]
 
 
 class TestForward:
@@ -63,9 +72,29 @@ class TestForward:
         ref = extract_frontend([PlanarImage(np.ascontiguousarray(p), "rgb") for p in planes])
         for a, b in ((got.pixels, ref.pixels), (got.spectra, ref.spectra),
                      (got.descriptors, ref.descriptors)):
-            assert a.flags.c_contiguous and a.dtype == np.float32
+            assert a.flags.c_contiguous and a.dtype == (np.float64 if a is got.pixels else np.float32)
             assert np.array_equal(a, b)
-        assert np.array_equal(got.pixels, np.stack([(p / 255.0).astype(np.float32) for p in planes]))
+        assert np.array_equal(got.pixels, np.stack(planes))  # the float samples, unscaled
+
+    def test_ppm_images_cache_their_8_bit_samples(self, rng, tmp_path):
+        planes, images = _ppm_images(rng, tmp_path, (3, 16, 24))
+        batch = extract_frontend(images, labels=[0, 1])
+        assert batch.pixels.dtype == np.uint8 and np.array_equal(batch.pixels, np.stack(planes))
+        # one float image widens the whole cache to float64
+        mixed = extract_frontend(images + [PlanarImage(planes[0].astype(np.float64), "rgb")])
+        assert mixed.pixels.dtype == np.float64 and np.array_equal(mixed.pixels[:2], batch.pixels)
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_8_bit_cache_gives_the_float_planes_logits(self, rng, tmp_path, mode, precision):
+        planes, images = _ppm_images(rng, tmp_path, (3, 16, 16))
+        dt = np.float32 if precision == "single" else np.float64
+        eight = extract_frontend(images, dtype=dt)
+        wide = extract_frontend([PlanarImage(p.astype(np.float64), "rgb") for p in planes], dtype=dt)
+        assert eight.pixels.dtype == np.uint8 and wide.pixels.dtype == np.float64
+        model = Detector(tiny_detector_config(5, precision=precision))
+        got, want = (model.forward(b, mode=mode)[0].data for b in (eight, wide))
+        assert got.dtype == dt and np.array_equal(got, want)
 
 
 class TestEvaluate:

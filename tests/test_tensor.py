@@ -262,9 +262,10 @@ class TestConvChunks:
     def test_rows_gradients_vs_finite_differences(self, rng, monkeypatch):
         monkeypatch.setattr(T, "_CONV_CHUNK", 1)
         x = rng.standard_normal((2, 2, 7, 7))
-        w = rng.standard_normal((3, 2, 3, 3))
-        assert T.grad_check(lambda t: T.conv2d(t, Tensor(w), 2), Tensor(x)) < 1e-6
-        assert T.grad_check(lambda t: T.conv2d(Tensor(x), t, 2), Tensor(w)) < 1e-6
+        for op, w in ((T.conv2d, rng.standard_normal((3, 2, 3, 3))),
+                      (T.depthwise_conv2d, rng.standard_normal((2, 3, 3)))):
+            assert T.grad_check(lambda t: op(t, Tensor(w), 2), Tensor(x)) < 1e-6
+            assert T.grad_check(lambda t: op(Tensor(x), t, 2), Tensor(w)) < 1e-6
 
     def test_peak_memory_bound(self, rng):
         # the stem's second conv at a 1024 px input; one einsum over the whole
@@ -279,6 +280,21 @@ class TestConvChunks:
         finally:
             tracemalloc.stop()
         assert peak <= out.data.nbytes + 3 * T._CONV_CHUNK
+
+    def test_weight_gradient_peak_memory_bound(self, rng):
+        # the same conv's weight gradient; built over the whole input's
+        # windows, it held 92 MB
+        x = Tensor(rng.standard_normal((1, 16, 512, 512)).astype(np.float32))
+        w = Tensor(rng.standard_normal((24, 16, 3, 3)).astype(np.float32), requires_grad=True)
+        out = T.conv2d(x, w, 2)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            _, dw = out._fn.backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dw.shape == w.shape and peak <= 3 * T._CONV_CHUNK
 
 
 def _conv2d_dx_nchw_taps(g, w, x_shape, s):
