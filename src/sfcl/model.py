@@ -12,6 +12,7 @@ descriptor gate can be disabled.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -147,6 +148,7 @@ class Detector(Layer):
             self.hcma = None
             concat_dim = cfg.backbone.output_dim + cfg.cnnf.output_dim + DESCRIPTOR_LENGTH
             self.classifier = Classifier(concat_dim, rng, dt)
+        self._scratch = threading.local()  # holds each thread's inference pixel batch
         names = [n for n, _ in self.trainables()] + [n for n, _ in self.buffers()]
         if len(names) != len(set(names)):
             raise ConfigError("duplicate parameter names in model assembly")
@@ -158,7 +160,7 @@ class Detector(Layer):
         if mode not in ("train", "infer"):
             raise UsageError(f"mode must be 'train' or 'infer', got {mode!r}")
         dt = self.cfg.dtype
-        x_img = Tensor(np.divide(batch.pixels, 255.0, out=np.empty(batch.pixels.shape, dt),
+        x_img = Tensor(np.divide(batch.pixels, 255.0, out=self._pixel_batch(batch.pixels.shape),
                                  dtype=np.float64, casting="unsafe"))  # to [0,1], rounded on store
         x_spec = Tensor(np.ascontiguousarray(batch.spectra, dtype=dt))
         d = Tensor(np.ascontiguousarray(batch.descriptors, dtype=dt))
@@ -180,6 +182,17 @@ class Detector(Layer):
             s_vec = self.backbone.deep_forward(x_s, mode)
             fused = T.concat([s_vec, f_vec, d], axis=1)
         return self.classifier.forward(fused)
+
+    def _pixel_batch(self, shape: Tuple[int, ...]) -> np.ndarray:
+        """Where the batch's scaled pixels go. A recorded graph keeps its stem's
+        input, so it gets a fresh array; inference reuses one per thread while
+        the shape holds, as a fresh array's page faults cost about the divide's time."""
+        if T.grad_enabled():
+            return np.empty(shape, self.cfg.dtype)
+        buf = getattr(self._scratch, "pixels", None)
+        if buf is None or buf.shape != shape:
+            buf = self._scratch.pixels = np.empty(shape, self.cfg.dtype)
+        return buf
 
     # -- parameter bookkeeping --------------------------------------------
 

@@ -36,8 +36,6 @@ from __future__ import annotations
 
 import contextlib
 from contextvars import ContextVar
-from functools import reduce
-from operator import iadd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -64,6 +62,11 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _GRAD_ENABLED.reset(token)
+
+
+def grad_enabled() -> bool:
+    """Whether ops in this thread or task record a graph: not inside ``no_grad``."""
+    return _GRAD_ENABLED.get()
 
 
 class _Fn:
@@ -574,8 +577,11 @@ def _weight_grad(spec: str, g: np.ndarray, xd: np.ndarray, plan: list, geometry:
     """The ``spec`` einsum of g with xd's windows, rebuilt chunk by chunk over
     the forward's plan and summed in place from the first chunk's product, not
     from zeros (0.0 + -0.0 is +0.0): a one-chunk plan gives one einsum's bits."""
-    return reduce(iadd, (np.einsum(spec, g[ns, :, rs], _windows(xd[ns], rs, *geometry), optimize=True)
-                         for ns, rs in plan))
+    (ns, rs), *rest = plan
+    dw = np.einsum(spec, g[ns, :, rs], _windows(xd[ns], rs, *geometry), optimize=True)
+    for ns, rs in rest:
+        dw += np.einsum(spec, g[ns, :, rs], _windows(xd[ns], rs, *geometry), optimize=True)
+    return dw
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:

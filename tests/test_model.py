@@ -10,7 +10,8 @@ from sfcl.io import read_ppm, write_ppm
 from sfcl.model import (Detector, DetectorConfig, desk_detector_config,
                         extract_frontend)
 from sfcl.spatial import BackboneConfig
-from sfcl.train import evaluate
+from sfcl import tensor as T
+from sfcl.train import bce_loss, evaluate
 
 
 def _batch(rng, n=2, size=16, dtype=np.float64):
@@ -95,6 +96,25 @@ class TestForward:
         model = Detector(tiny_detector_config(5, precision=precision))
         got, want = (model.forward(b, mode=mode)[0].data for b in (eight, wide))
         assert got.dtype == dt and np.array_equal(got, want)
+
+
+    def test_inference_reuses_its_pixel_batch_and_a_graph_keeps_its_own(self, rng):
+        a, b, c = _batch(rng), _batch(rng), _batch(rng, n=3)
+        ref = Detector(tiny_detector_config(3))
+        T.backward(bce_loss(ref.forward(a, mode="train")[0], a.labels))
+        want = [ref.forward(x, mode="infer")[0].data for x in (a, b, c)]  # each a fresh array
+        model = Detector(tiny_detector_config(3))
+        loss = bce_loss(model.forward(a, mode="train")[0], a.labels)  # its graph holds a's pixels
+        with T.no_grad():
+            got = [model.forward(x, mode="infer")[0].data for x in (a, b, c, b)]
+            kept = model._scratch.pixels
+            assert model.forward(b, mode="infer")[0].data.shape == (2,)
+            assert model._scratch.pixels is kept  # one array for batches of one shape
+        for g, w in zip(got, [want[0], want[1], want[2], want[1]]):
+            assert np.array_equal(g, w)
+        T.backward(loss)
+        for (k, t), (_, r) in zip(model.trainables(), ref.trainables()):
+            assert np.array_equal(t.grad, r.grad), k
 
 
 class TestEvaluate:
