@@ -30,6 +30,7 @@ CHANNEL_NAMES = ("Y", "Cb", "Cr")
 # to (v, 128, 128); constant gray then yields exactly-zero block spectra.
 
 _STRIP_BYTES = 1 << 17  # per strip buffer of the colour conversion
+_BLOCK_STRIP_BYTES = 1 << 20  # level-shifted blocks of all three channels per DCT strip
 
 
 @dataclass
@@ -184,50 +185,48 @@ def crop_to_grid(img: PlanarImage, bbox: Optional[BoundingBox] = None) -> Planar
     return PlanarImage(img.pixels[:, y0:y0 + gh, x0:x0 + gw], img.color_space)
 
 
-def _plane_to_blocks(plane: np.ndarray) -> np.ndarray:
-    h, w = plane.shape
-    return plane.reshape(h // BLOCK, BLOCK, w // BLOCK, BLOCK).transpose(0, 2, 1, 3)
+def _plane_to_blocks(planes: np.ndarray) -> np.ndarray:
+    *lead, h, w = planes.shape
+    return planes.reshape(*lead, h // BLOCK, BLOCK, w // BLOCK, BLOCK).swapaxes(-3, -2)
 
 
 def restructure(img: PlanarImage, bbox: Optional[BoundingBox] = None) -> BlockSpectra:
     """RGB image -> grid crop -> YCbCr -> block DCT -> zigzag bands.
 
-    The output layout is [channel, band, block row, block col]. DCT and
-    zigzag ordering are one 64x64 matmul per channel over all its blocks;
-    splitting that product would change its bits. An RGB crop is converted
-    in strips of whole block rows that go straight into the block layout,
-    so no full-size YCbCr plane is built.
+    The output layout is [channel, band, block row, block col]. An RGB crop
+    is converted in strips of whole block rows of ``_STRIP_BYTES`` a plane.
+    DCT and zigzag ordering are one 64x64 matmul per channel and strip of as
+    many block rows as fit ``_BLOCK_STRIP_BYTES`` of the three channels'
+    blocks (at least one; whole colour strips where more fit), so no
+    full-size YCbCr or block plane is built. A grid of one strip takes one
+    product per channel; over several strips BLAS may round some columns
+    apart from that product in the last bits.
     """
     region = crop_to_grid(img, bbox)
     h, w = region.height, region.width
     br, bc = h // BLOCK, w // BLOCK
     out = np.empty((3, BANDS, br, bc))
-    # Level-shifted blocks of channels 0, 1, 2 wait in out[1], out[2] and
-    # `spare`: each channel's product, taken in order, reads a slot no earlier
-    # product wrote and writes one whose blocks were already read.
-    spare = np.empty((br, bc, BLOCK, BLOCK))
-    slots = (out[1].reshape(spare.shape), out[2].reshape(spare.shape), spare)
+    rows = max(1, _STRIP_BYTES // (BLOCK * w * 8))  # block rows per colour strip
+    span = max(1, _BLOCK_STRIP_BYTES // (3 * bc * BANDS * 8))  # block rows per DCT strip
+    span = span // rows * rows or span  # a colour strip split in two costs one conversion more
+    blocks = np.empty((3, min(span, br), bc, BLOCK, BLOCK))
     px = region.pixels
     rgb = region.color_space == "rgb"
-    step = BLOCK * max(1, _STRIP_BYTES // (BLOCK * w * 8))  # whole block rows
     if rgb:
-        buf = np.empty((5, min(step, h), w))  # YCbCr rows, rg, bg
-    for lo in range(0, h, step):
-        rows = slice(lo, lo + step)
-        ycc = px[:, rows]
-        if rgb:
-            n = min(step, h - lo)
-            ycc = buf[:3, :n]
-            strip = px[:, rows]
-            if strip.strides[2] != strip.itemsize:  # rows of another layout read with a stride
-                strip = np.ascontiguousarray(strip)
-            _ycbcr_rows(strip, ycc, buf[3, :n], buf[4, :n])
-        for ch in range(3):
-            np.subtract(_plane_to_blocks(ycc[ch]), 128.0,
-                        out=slots[ch][lo // BLOCK:(lo + step) // BLOCK])
-    for ch in range(3):
-        np.matmul(_DCT_ZIGZAG, slots[ch].reshape(br * bc, BANDS).T,
-                  out=out[ch].reshape(BANDS, br * bc))
+        buf = np.empty((5, min(rows, br) * BLOCK, w))  # YCbCr rows, rg, bg
+    for b0 in range(0, br, span):
+        b1 = min(b0 + span, br)
+        for r0 in range(b0, b1, rows):
+            r1 = min(r0 + rows, b1)
+            ycc = strip = px[:, r0 * BLOCK:r1 * BLOCK]
+            if rgb:
+                if strip.strides[2] != strip.itemsize:  # rows of another layout read with a stride
+                    strip = np.ascontiguousarray(strip)
+                ycc = buf[:3, :strip.shape[1]]
+                _ycbcr_rows(strip, ycc, *buf[3:, :strip.shape[1]])
+            np.subtract(_plane_to_blocks(ycc), 128.0, out=blocks[:, r0 - b0:r1 - b0])
+        np.matmul(_DCT_ZIGZAG, blocks[:, :b1 - b0].reshape(3, -1, BANDS).swapaxes(1, 2),
+                  out=out.reshape(3, BANDS, br * bc)[:, :, b0 * bc:b1 * bc])
     return BlockSpectra(out)
 
 

@@ -54,10 +54,9 @@ def read_ppm(path) -> PlanarImage:
         raise InputError(f"{path}: expected one whitespace byte after maxval")
     pos += 1
     need = width * height * 3
-    data = blob[pos:pos + need]
-    if len(data) != need:
-        raise InputError(f"{path}: expected {need} pixel bytes, found {len(data)}")
-    arr = np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3)
+    if len(blob) - pos < need:
+        raise InputError(f"{path}: expected {need} pixel bytes, found {len(blob) - pos}")
+    arr = np.frombuffer(blob, dtype=np.uint8, count=need, offset=pos).reshape(height, width, 3)
     return PlanarImage(np.ascontiguousarray(arr.transpose(2, 0, 1)), "rgb")
 
 

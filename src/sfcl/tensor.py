@@ -28,8 +28,8 @@ Design constraints honoured throughout:
 * ``attention``'s forward and backward walk one plan of chunks of whole
   score rows: neither builds the [B, M, L] score map, and each softmax
   runs on complete rows, as an unfused matmul, softmax, matmul chain's,
-* the convolution forwards, and the 2-D ones' weight gradients, never hold
-  their whole input's padded or window copy, only one chunk's (``_CONV_CHUNK``).
+* the convolution forwards and weight gradients never hold their whole
+  input's padded or window copy, only one chunk's (``_CONV_CHUNK``).
 """
 
 from __future__ import annotations
@@ -556,31 +556,33 @@ def _conv2d_geometry(op: str, x: np.ndarray, w: np.ndarray, stride: int) -> tupl
     return kh, stride, kh // 2, (x.shape[2] - 1) // stride + 1, (x.shape[3] - 1) // stride + 1
 
 
-def _windows(x: np.ndarray, rows: slice, ho: int, k: int, s: int, p: int) -> np.ndarray:
-    """[N, C, rows, Wo, k, k] window view of x [N, C, H, W] for output ``rows``.
+def _windows(x: np.ndarray, ho: int, k: int, s: int, p: int):
+    """(samples, output rows) -> their [n, C, rows, Wo, k, k] windows of x [N, C, H, W].
 
     It views a zero-padded copy of only the input rows those outputs read;
     for every row, that copy is the whole padded input. Output row r reads
     input row r * s < H, so every chunk copies at least one row of x.
     """
-    n, c, h, w = x.shape
-    r0, r1, _ = rows.indices(ho)
-    lo = r0 * s - p
-    hi = h + p if r1 == ho else (r1 - 1) * s - p + k
-    xp = np.zeros((n, c, hi - lo, w + 2 * p), dtype=x.dtype)
-    a, b = max(lo, 0), min(hi, h)
-    xp[:, :, a - lo:b - lo, p:p + w] = x[:, :, a:b]
-    return sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+    def windows(ns: slice, rows: slice) -> np.ndarray:
+        n, c, h, w = x[ns].shape
+        r0, r1, _ = rows.indices(ho)
+        lo = r0 * s - p
+        hi = h + p if r1 == ho else (r1 - 1) * s - p + k
+        xp = np.zeros((n, c, hi - lo, w + 2 * p), dtype=x.dtype)
+        a, b = max(lo, 0), min(hi, h)
+        xp[:, :, a - lo:b - lo, p:p + w] = x[ns, :, a:b]
+        return sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+    return windows
 
 
-def _weight_grad(spec: str, g: np.ndarray, xd: np.ndarray, plan: list, geometry: tuple) -> np.ndarray:
-    """The ``spec`` einsum of g with xd's windows, rebuilt chunk by chunk over
-    the forward's plan and summed in place from the first chunk's product, not
-    from zeros (0.0 + -0.0 is +0.0): a one-chunk plan gives one einsum's bits."""
+def _weight_grad(spec: str, g: np.ndarray, windows, plan: list) -> np.ndarray:
+    """The ``spec`` einsum of g with ``windows(samples, rows)`` (rows on g's
+    next-to-last axis) over the forward's plan, summed from the first chunk's
+    product, not zeros (0.0 + -0.0 is +0.0): one chunk gives one einsum's bits."""
     (ns, rs), *rest = plan
-    dw = np.einsum(spec, g[ns, :, rs], _windows(xd[ns], rs, *geometry), optimize=True)
+    dw = np.einsum(spec, g[ns, ..., rs, :], windows(ns, rs), optimize=True)
     for ns, rs in rest:
-        dw += np.einsum(spec, g[ns, :, rs], _windows(xd[ns], rs, *geometry), optimize=True)
+        dw += np.einsum(spec, g[ns, ..., rs, :], windows(ns, rs), optimize=True)
     return dw
 
 
@@ -610,15 +612,15 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
         raise ShapeError(f"conv2d: input channels {ci} do not match kernel channels {ci_w}")
     k, s, p, ho, wo = _conv2d_geometry("conv2d", xd, wd, stride)
 
+    windows = _windows(xd, ho, k, s, p)
     out = _channel_major((n, co, ho, wo), xd.dtype)
     plan = _chunks(n, ho, ci * k * k * wo * xd.itemsize, _CONV_CHUNK, 1)
     for ns, rs in plan:
-        np.einsum("ncpqij,ocij->nopq", _windows(xd[ns], rs, ho, k, s, p), wd,
-                  out=out[ns, :, rs], optimize=True)
+        np.einsum("ncpqij,ocij->nopq", windows(ns, rs), wd, out=out[ns, :, rs], optimize=True)
     x_grad, w_grad = x.requires_grad, w.requires_grad
 
     def bw(g):
-        dw = _weight_grad("nopq,ncpqij->ocij", g, xd, plan, (ho, k, s, p)) if w_grad else None
+        dw = _weight_grad("nopq,ncpqij->ocij", g, windows, plan) if w_grad else None
         if not x_grad:
             return None, dw
         # Channels-last accumulator: each tap adds rows of C contiguous values.
@@ -653,15 +655,15 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
         raise ShapeError(f"depthwise_conv2d: channels {c} do not match kernel channels {wd.shape[0]}")
     k, s, p, ho, wo = _conv2d_geometry("depthwise_conv2d", xd, wd, stride)
 
+    windows = _windows(xd, ho, k, s, p)
     out = _channel_major((n, c, ho, wo), xd.dtype)
     plan = _chunks(n, ho, c * k * k * wo * xd.itemsize, _CONV_CHUNK, 1)
     for ns, rs in plan:
-        np.einsum("ncpqij,cij->ncpq", _windows(xd[ns], rs, ho, k, s, p), wd,
-                  out=out[ns, :, rs], optimize=True)
+        np.einsum("ncpqij,cij->ncpq", windows(ns, rs), wd, out=out[ns, :, rs], optimize=True)
     x_grad, w_grad = x.requires_grad, w.requires_grad
 
     def bw(g):
-        dw = _weight_grad("ncpq,ncpqij->cij", g, xd, plan, (ho, k, s, p)) if w_grad else None
+        dw = _weight_grad("ncpq,ncpqij->cij", g, windows, plan) if w_grad else None
         if not x_grad:
             return None, dw
         # Channels-last accumulator, handed on C-ordered, as in conv2d.
@@ -702,14 +704,13 @@ def conv3d(x: Tensor, w: Tensor, stride_d: int = 1) -> Tensor:
         return sliding_window_view(xd[ns, :, :, rs], kd, axis=2)[:, :, ::stride_d]
 
     out = _channel_major((n, co, do, h, wd_sp), xd.dtype)
-    for ns, rs in _chunks(n, h, ci * do * wd_sp * kd * xd.itemsize, _CONV_CHUNK, 1):
+    plan = _chunks(n, h, ci * do * wd_sp * kd * xd.itemsize, _CONV_CHUNK, 1)
+    for ns, rs in plan:
         np.einsum("ncdhwk,ock->nodhw", windows(ns, rs), wd, out=out[ns, :, :, rs], optimize=True)
     x_grad, w_grad = x.requires_grad, w.requires_grad
 
     def bw(g):
-        dwk = None
-        if w_grad:
-            dwk = np.einsum("nodhw,ncdhwk->ock", g, windows(slice(None), slice(None)), optimize=True)
+        dwk = _weight_grad("nodhw,ncdhwk->ock", g, windows, plan) if w_grad else None
         if not x_grad:
             return None, dwk
         dxw = np.einsum("nodhw,ock->ncdkhw", g, wd, optimize=True)

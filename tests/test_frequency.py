@@ -234,26 +234,46 @@ class TestStreamedRestructure:
         assert np.array_equal(got, _ycbcr_then_whole_channel_matmul(img, bbox))
         assert np.array_equal(got, fq.restructure(PlanarImage(px, space), bbox).coefficients)
 
-    def test_peak_memory_bound(self, rng):
-        img = PlanarImage(rng.uniform(0, 255, (3, 512, 512)), "rgb")
+    @pytest.mark.parametrize("strip_bytes", [None, 1, 3 * 8 * 8 * 104])
+    @pytest.mark.parametrize("block_rows", [1, 3])  # DCT strips of 1 block row, or 3 with a partial last strip
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_dct_strips_within_rounding_of_whole_channel_matmul(self, rng, monkeypatch, case,
+                                                                 block_rows, strip_bytes):
+        if strip_bytes is not None:  # colour strips of 1 block row, or of 3 or more by width
+            monkeypatch.setattr(fq, "_STRIP_BYTES", strip_bytes)
+        shape, bbox, transposed, space = self.CASES[case]
+        px = np.round(rng.uniform(0, 255, shape))
+        img = PlanarImage(_transposed(px) if transposed else px, space)
+        want = _ycbcr_then_whole_channel_matmul(img, bbox)
+        monkeypatch.setattr(fq, "_BLOCK_STRIP_BYTES", block_rows * 3 * want.shape[3] * fq.BANDS * 8)
+        got = fq.restructure(img, bbox).coefficients
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @staticmethod
+    def _peak(img):
         tracemalloc.start()
         try:
             spectra = fq.restructure(img)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1], spectra.coefficients.nbytes
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * spectra.coefficients.nbytes
+
+    # the spectra, one DCT strip of level-shifted blocks, one colour strip's
+    # five buffers (YCbCr rows, rg, bg) and the buffer numpy iterates the
+    # level shift through; no full-size plane beside the spectra
+    @staticmethod
+    def _strip_bound(spectra_bytes):
+        return spectra_bytes + fq._BLOCK_STRIP_BYTES + 5 * fq._STRIP_BYTES + 8 * np.getbufsize()
+
+    def test_peak_memory_bound(self, rng):
+        peak, spectra_bytes = self._peak(PlanarImage(rng.uniform(0, 255, (3, 512, 512)), "rgb"))
+        assert peak <= self._strip_bound(spectra_bytes)
 
     def test_column_major_planes_copied_a_strip_at_a_time(self, rng):
         # the bound above plus one strip copy of three planes, not a whole crop
         img = PlanarImage(_transposed(rng.uniform(0, 255, (3, 512, 512))), "rgb")
-        tracemalloc.start()
-        try:
-            spectra = fq.restructure(img)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * spectra.coefficients.nbytes + 3 * fq._STRIP_BYTES
+        peak, spectra_bytes = self._peak(img)
+        assert peak <= self._strip_bound(spectra_bytes) + 3 * fq._STRIP_BYTES
 
 
 class TestEightBitPlanes:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import struct
+import tracemalloc
 import types
 import warnings
 
@@ -44,8 +45,20 @@ class TestPpm:
     def test_truncated_pixels(self, tmp_path):
         path = tmp_path / "short.ppm"
         path.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 5)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="expected 12 pixel bytes, found 5"):
             read_ppm(path)
+
+    def test_pixel_bytes_copied_once(self, tmp_path, rng):
+        # the file's bytes and the planar array, no third copy of the pixels
+        path = tmp_path / "big.ppm"
+        write_ppm(path, PlanarImage(rng.integers(0, 256, (3, 512, 512), dtype=np.uint8), "rgb"))
+        tracemalloc.start()
+        try:
+            img = read_ppm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= os.path.getsize(path) + img.pixels.nbytes + 4096
 
     def test_wrong_maxval(self, tmp_path):
         path = tmp_path / "deep.ppm"

@@ -266,6 +266,9 @@ class TestConvChunks:
                       (T.depthwise_conv2d, rng.standard_normal((2, 3, 3)))):
             assert T.grad_check(lambda t: op(t, Tensor(w), 2), Tensor(x)) < 1e-6
             assert T.grad_check(lambda t: op(Tensor(x), t, 2), Tensor(w)) < 1e-6
+        x, w = rng.standard_normal((2, 2, 7, 3, 4)), rng.standard_normal((3, 2, 3))  # rows along H
+        assert T.grad_check(lambda t: T.conv3d(t, Tensor(w), 2), Tensor(x)) < 1e-6
+        assert T.grad_check(lambda t: T.conv3d(Tensor(x), t, 2), Tensor(w)) < 1e-6
 
     def test_peak_memory_bound(self, rng):
         # the stem's second conv at a 1024 px input; one einsum over the whole
@@ -287,6 +290,21 @@ class TestConvChunks:
         x = Tensor(rng.standard_normal((1, 16, 512, 512)).astype(np.float32))
         w = Tensor(rng.standard_normal((24, 16, 3, 3)).astype(np.float32), requires_grad=True)
         out = T.conv2d(x, w, 2)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            _, dw = out._fn.backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dw.shape == w.shape and peak <= 3 * T._CONV_CHUNK
+
+    def test_conv3d_weight_gradient_peak_memory_bound(self, rng):
+        # SBCM's first band conv at half its 1024 px width and height; built
+        # over the whole input's windows, its weight gradient held 19 MB
+        x = Tensor(rng.standard_normal((2, 3, 64, 64, 64)).astype(np.float32))
+        w = Tensor(rng.standard_normal((8, 3, 7)).astype(np.float32), requires_grad=True)
+        out = T.conv3d(x, w, 3)
         g = rng.standard_normal(out.shape).astype(np.float32)
         tracemalloc.start()
         try:
