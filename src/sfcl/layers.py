@@ -22,8 +22,24 @@ from . import tensor as T
 from .tensor import Tensor
 
 
+# Normals per float64 block of ``he_normal``: 512 KiB.
+_INIT_BLOCK = 1 << 16
+
+
 def he_normal(rng: np.random.Generator, shape: tuple, fan_in: int, dtype) -> np.ndarray:
-    return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
+    """``(rng.standard_normal(shape) * sqrt(2 / fan_in)).astype(dtype)``, bit for bit.
+
+    The normals are drawn, scaled and cast one ``_INIT_BLOCK`` at a time, as
+    the generator gives the same stream in blocks as in one call; so a large
+    weight never has two whole float64 copies."""
+    scale = np.sqrt(2.0 / fan_in)
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _INIT_BLOCK):
+        block = rng.standard_normal(min(_INIT_BLOCK, flat.size - start))
+        block *= scale
+        flat[start:start + block.size] = block
+    return out
 
 
 class Layer:

@@ -29,7 +29,8 @@ Design constraints honoured throughout:
   score rows: neither builds the [B, M, L] score map, and each softmax
   runs on complete rows, as an unfused matmul, softmax, matmul chain's,
 * the convolution forwards and weight gradients never hold their whole
-  input's padded or window copy, only one chunk's (``_CONV_CHUNK``).
+  input's padded or window copy, only one chunk's (``_CONV_CHUNK``), and
+  ``conv3d``'s input gradient holds one chunk's terms, not every tap's.
 """
 
 from __future__ import annotations
@@ -713,12 +714,16 @@ def conv3d(x: Tensor, w: Tensor, stride_d: int = 1) -> Tensor:
         dwk = _weight_grad("nodhw,ncdhwk->ock", g, windows, plan) if w_grad else None
         if not x_grad:
             return None, dwk
-        dxw = np.einsum("nodhw,ock->ncdkhw", g, wd, optimize=True)
         dx = np.zeros_like(xd)
-        # Reverse k adds each depth's terms in np.add.at's order (d' rising),
-        # so the sums are bit-identical to the scatter this replaces.
-        for k in reversed(range(kd)):
-            dx[:, :, k:k + stride_d * do:stride_d] += dxw[:, :, :, k]
+        # One chunk of the forward's plan at a time: its [n, C_in, D', kd, h, W]
+        # terms take as many bytes as its windows, so within _CONV_CHUNK
+        # where a row fits. Reverse k adds each depth's terms in np.add.at's
+        # order (d' rising), so the sums are bit-identical to that scatter's.
+        for ns, rs in plan:
+            dxw = np.einsum("nodhw,ock->ncdkhw", g[ns, :, :, rs], wd, optimize=True)
+            for k in reversed(range(kd)):
+                dx[ns, :, k:k + stride_d * do:stride_d, rs] += dxw[:, :, :, k]
+            del dxw  # before the next chunk's terms are allocated
         return dx, dwk
 
     return _node(out, "conv3d", (x, w), bw)

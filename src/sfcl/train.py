@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, NumericError, ShapeError
 from .metrics import metric_accuracy
-from .model import Detector, FrontendBatch, extract_frontend
+from .model import Detector, FrontendBatch, extract_frontend, infer_slice
 from .synth import Sample
 from .tensor import Tensor
 
@@ -147,7 +147,14 @@ def train(model: Detector, samples: Sequence[Sample], cfg: TrainConfig,
 def evaluate(model: Detector, samples: Sequence[Sample],
              frontend: Optional[FrontendBatch] = None,
              batch_size: int = 32) -> Tuple[np.ndarray, np.ndarray]:
-    """Inference over a dataset in sample order; returns (probs, labels)."""
+    """Inference over a dataset in sample order; returns (probs, labels).
+
+    Each forward takes at most ``batch_size`` samples, and no more than
+    ``infer_slice`` gives for the crop size, so memory does not grow with
+    the batch. Batch norm reads its running statistics in infer mode, so no
+    sample's output depends on the others'; BLAS may still round a smaller
+    slice's products apart in the last bits.
+    """
     if frontend is None:
         frontend = extract_frontend([s.image for s in samples],
                                     [s.bbox for s in samples],
@@ -155,9 +162,10 @@ def evaluate(model: Detector, samples: Sequence[Sample],
                                     labels=[s.label for s in samples])
     probs = np.empty(len(frontend), dtype=np.float64)
     bad = 0
+    step = min(batch_size, infer_slice(model.cfg, frontend.pixels.shape[2:]))
     with T.no_grad():
-        for start in range(0, len(frontend), batch_size):
-            rows = slice(start, start + batch_size)  # views, not copies, of the frontend
+        for start in range(0, len(frontend), step):
+            rows = slice(start, start + step)  # views, not copies, of the frontend
             logits, p = model.forward(frontend.subset(rows), mode="infer")
             bad += int(np.count_nonzero(~np.isfinite(logits.data)))
             probs[rows] = p.data

@@ -1,5 +1,7 @@
 """Whole-detector wiring: shapes, ablation seams, state round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from sfcl.checks import tiny_detector_config
 from sfcl.errors import ConfigError, FormatError, InputError
 from sfcl.frequency import PlanarImage
 from sfcl.io import read_ppm, write_ppm
+from sfcl import layers, model as model_mod
+from sfcl.layers import he_normal
 from sfcl.model import (Detector, DetectorConfig, desk_detector_config,
-                        extract_frontend)
+                        extract_frontend, infer_slice)
 from sfcl.spatial import BackboneConfig
 from sfcl import tensor as T
 from sfcl.train import bce_loss, evaluate
@@ -108,8 +112,11 @@ class TestForward:
         with T.no_grad():
             got = [model.forward(x, mode="infer")[0].data for x in (a, b, c, b)]
             kept = model._scratch.pixels
+            assert len(kept) == 3  # the shorter b after c took c's leading rows
             assert model.forward(b, mode="infer")[0].data.shape == (2,)
-            assert model._scratch.pixels is kept  # one array for batches of one shape
+            assert model._scratch.pixels is kept  # one array while the crop shape holds
+            model.forward(_batch(rng, size=24), mode="infer")
+            assert model._scratch.pixels.shape == (2, 3, 24, 24)  # a new crop shape, a new array
         for g, w in zip(got, [want[0], want[1], want[2], want[1]]):
             assert np.array_equal(g, w)
         T.backward(loss)
@@ -118,7 +125,9 @@ class TestForward:
 
 
 class TestEvaluate:
-    def test_batches_are_views_of_the_frontend(self, rng, monkeypatch):
+    # a batch size of 2, or a budget that fits 2 of these 16x16 crops
+    @pytest.mark.parametrize("batch_size,budget", [(2, model_mod._INFER_CHUNK), (32, 4 * 8 * 8 * 8 * 2)])
+    def test_batches_are_views_of_the_frontend(self, rng, monkeypatch, batch_size, budget):
         model = Detector(tiny_detector_config(3))
         frontend = _batch(rng, n=5)
         fed = []
@@ -129,7 +138,8 @@ class TestEvaluate:
             return forward(self, batch, mode)
 
         monkeypatch.setattr(Detector, "forward", spy)
-        probs, labels = evaluate(model, (), frontend=frontend, batch_size=2)
+        monkeypatch.setattr(model_mod, "_INFER_CHUNK", budget)
+        probs, labels = evaluate(model, (), frontend=frontend, batch_size=batch_size)
         monkeypatch.undo()
         assert [len(b) for b in fed] == [2, 2, 1]
         for batch in fed:
@@ -143,6 +153,54 @@ class TestEvaluate:
             for s in range(0, 5, 2)])
         assert probs.dtype == np.float64 and np.array_equal(probs, want)
         assert np.array_equal(labels, frontend.labels)
+
+    @pytest.mark.parametrize("precision,slices", [("single", [64, 16, 4, 1, 1]),
+                                                  ("double", [32, 8, 2, 1, 1])])
+    def test_slice_holds_the_budget_in_stem_outputs(self, precision, slices):
+        cfg = desk_detector_config(precision=precision)
+        assert [infer_slice(cfg, (s, s)) for s in (64, 128, 256, 512, 1024)] == slices
+
+    def test_slices_give_the_whole_batch_bits(self, rng):
+        model = Detector(desk_detector_config())
+        images = [PlanarImage(rng.integers(0, 256, (3, 128, 128), dtype=np.uint8), "rgb")
+                  for _ in range(20)]
+        frontend = extract_frontend(images, labels=[i % 2 for i in range(20)])
+        with T.no_grad():
+            whole = model.forward(frontend, mode="infer")[1].data
+        for batch_size in (32, 16, 4):  # slices of 16 and 4, then 4
+            probs, _ = evaluate(model, (), frontend=frontend, batch_size=batch_size)
+            assert np.array_equal(probs, whole), batch_size
+
+    def test_peak_does_not_grow_with_the_batch(self, rng):
+        model = Detector(desk_detector_config())
+        images = [PlanarImage(rng.integers(0, 256, (3, 256, 256), dtype=np.uint8), "rgb")
+                  for _ in range(8)]
+        frontend = extract_frontend(images, labels=[i % 2 for i in range(8)])
+        peaks = []
+        for batch_size in (4, 8):
+            evaluate(model, (), frontend=frontend, batch_size=batch_size)  # its pixel batch is kept
+            tracemalloc.start()
+            try:
+                evaluate(model, (), frontend=frontend, batch_size=batch_size)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # in one forward of all 8, the peak rose by 83%
+        assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
+class TestHeNormal:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block", [7, 1 << 16])
+    def test_blocks_give_the_whole_draw_bits(self, monkeypatch, dtype, block):
+        monkeypatch.setattr(layers, "_INIT_BLOCK", block)
+        for shape, fan_in in [((1,), 1), ((3, 5, 7), 35), ((13,), 3), ((257, 259), 257),
+                              ((70001,), 9), ((0, 4), 4)]:
+            got, want = np.random.default_rng(8), np.random.default_rng(8)
+            w = he_normal(got, shape, fan_in, dtype)
+            ref = (want.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
+            assert w.dtype == dtype and np.array_equal(w, ref), shape
+            assert got.random() == want.random()  # and leave the generator in step
 
 
 class TestConfigValidation:

@@ -161,8 +161,11 @@ class TestConv3d:
                 f"conv3d: expected a non-empty input and kernel, got {x_shape} and {w_shape}")):
             T.conv3d(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)))
 
+    @pytest.mark.parametrize("one_row_chunks", [False, True])
     @pytest.mark.parametrize("kd,stride", [(7, 3), (5, 2), (3, 2), (3, 3), (2, 4), (3, 1)])
-    def test_backward_bit_equal_to_add_at_scatter(self, rng, kd, stride):
+    def test_backward_bit_equal_to_add_at_scatter(self, rng, monkeypatch, kd, stride, one_row_chunks):
+        if one_row_chunks:
+            monkeypatch.setattr(T, "_CONV_CHUNK", 1)
         x = Tensor(rng.standard_normal((2, 3, 19, 2, 3)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 3, kd)), requires_grad=True)
         out = T.conv3d(x, w, stride_d=stride)
@@ -313,6 +316,23 @@ class TestConvChunks:
         finally:
             tracemalloc.stop()
         assert dw.shape == w.shape and peak <= 3 * T._CONV_CHUNK
+
+    def test_conv3d_input_gradient_peak_memory_bound(self, rng):
+        # SBCM's second band conv on two 1024 px crops; built over one
+        # [N, C_in, D', kd, H, W] array of every tap's terms, its input
+        # gradient peaked at 62.9 MB beside a 21.0 MB dx. Now it holds one
+        # chunk's terms and einsum's copy of that chunk's g.
+        x = Tensor(rng.standard_normal((2, 8, 20, 128, 128)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((16, 8, 5)).astype(np.float32))
+        out = T.conv3d(x, w, 2)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            dx, _ = out._fn.backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dx.shape == x.shape and peak <= dx.nbytes + 2 * T._CONV_CHUNK
 
 
 def _conv2d_dx_nchw_taps(g, w, x_shape, s):
