@@ -29,8 +29,7 @@ CHANNEL_NAMES = ("Y", "Cb", "Cr")
 # Evaluated in difference form so the achromatic axis (R=G=B) maps exactly
 # to (v, 128, 128); constant gray then yields exactly-zero block spectra.
 
-_STRIP_BYTES = 1 << 17  # per strip buffer of the colour conversion
-_BLOCK_STRIP_BYTES = 1 << 20  # level-shifted blocks of all three channels per DCT strip
+_BLOCK_STRIP_BYTES = 1 << 20  # level-shifted blocks of all three channels per strip
 
 
 @dataclass
@@ -134,14 +133,14 @@ _DCT_ZIGZAG = np.kron(_DCT, _DCT)[_ZIGZAG_FLAT]
 
 
 def _ycbcr_rows(rgb: np.ndarray, out: np.ndarray, rg: np.ndarray, bg: np.ndarray) -> None:
-    """Full-range BT.601 of RGB rows [3, rows, W] into `out`, clamped to [0, 255].
+    """Full-range BT.601 of RGB planes [3, ...] into `out`, clamped to [0, 255].
 
-    `rgb` holds ``uint8`` or float64 samples; the differences are formed in
-    float64, so ``uint8`` ones cannot wrap. `rg` and `bg` are [rows, W]
-    buffers, and out[1] and out[2] hold products until their own channel is
-    formed. Each value gets the same operations in the same order whatever
-    rows come with it, so a conversion split into strips equals one done
-    whole.
+    `rgb` holds ``uint8`` or float64 samples in any layout; the differences
+    are formed in float64, so ``uint8`` ones cannot wrap. `rg` and `bg` are
+    buffers of one plane's shape, and out[1] and out[2] hold products until
+    their own channel is formed. Each value gets the same operations in the
+    same order whatever values come with it, so a conversion split into
+    strips equals one done whole.
     """
     r, g, b = rgb
     y, cb, cr = out
@@ -193,39 +192,31 @@ def _plane_to_blocks(planes: np.ndarray) -> np.ndarray:
 def restructure(img: PlanarImage, bbox: Optional[BoundingBox] = None) -> BlockSpectra:
     """RGB image -> grid crop -> YCbCr -> block DCT -> zigzag bands.
 
-    The output layout is [channel, band, block row, block col]. An RGB crop
-    is converted in strips of whole block rows of ``_STRIP_BYTES`` a plane.
-    DCT and zigzag ordering are one 64x64 matmul per channel and strip of as
-    many block rows as fit ``_BLOCK_STRIP_BYTES`` of the three channels'
-    blocks (at least one; whole colour strips where more fit), so no
+    The output layout is [channel, band, block row, block col]. The crop is
+    taken in strips of as many block rows as fit ``_BLOCK_STRIP_BYTES`` of
+    the three channels' blocks (at least one). Each strip's pixels are read
+    in block layout, converted to YCbCr in one work buffer of five
+    block-layout planes (YCbCr, rg, bg), level-shifted in place, and
+    multiplied by the 64x64 DCT-zigzag matrix once per channel, so no
     full-size YCbCr or block plane is built. A grid of one strip takes one
     product per channel; over several strips BLAS may round some columns
     apart from that product in the last bits.
     """
     region = crop_to_grid(img, bbox)
-    h, w = region.height, region.width
-    br, bc = h // BLOCK, w // BLOCK
+    br, bc = region.height // BLOCK, region.width // BLOCK
     out = np.empty((3, BANDS, br, bc))
-    rows = max(1, _STRIP_BYTES // (BLOCK * w * 8))  # block rows per colour strip
-    span = max(1, _BLOCK_STRIP_BYTES // (3 * bc * BANDS * 8))  # block rows per DCT strip
-    span = span // rows * rows or span  # a colour strip split in two costs one conversion more
-    blocks = np.empty((3, min(span, br), bc, BLOCK, BLOCK))
-    px = region.pixels
-    rgb = region.color_space == "rgb"
-    if rgb:
-        buf = np.empty((5, min(rows, br) * BLOCK, w))  # YCbCr rows, rg, bg
+    span = max(1, _BLOCK_STRIP_BYTES // (3 * bc * BANDS * 8))  # block rows per strip
+    buf = np.empty((5, min(span, br), bc, BLOCK, BLOCK))  # YCbCr, rg, bg
     for b0 in range(0, br, span):
         b1 = min(b0 + span, br)
-        for r0 in range(b0, b1, rows):
-            r1 = min(r0 + rows, b1)
-            ycc = strip = px[:, r0 * BLOCK:r1 * BLOCK]
-            if rgb:
-                if strip.strides[2] != strip.itemsize:  # rows of another layout read with a stride
-                    strip = np.ascontiguousarray(strip)
-                ycc = buf[:3, :strip.shape[1]]
-                _ycbcr_rows(strip, ycc, *buf[3:, :strip.shape[1]])
-            np.subtract(_plane_to_blocks(ycc), 128.0, out=blocks[:, r0 - b0:r1 - b0])
-        np.matmul(_DCT_ZIGZAG, blocks[:, :b1 - b0].reshape(3, -1, BANDS).swapaxes(1, 2),
+        blocks = _plane_to_blocks(region.pixels[:, b0 * BLOCK:b1 * BLOCK])
+        ycc = buf[:3, :b1 - b0]
+        if region.color_space == "rgb":
+            _ycbcr_rows(blocks, ycc, *buf[3:, :b1 - b0])
+            ycc -= 128.0
+        else:
+            np.subtract(blocks, 128.0, out=ycc)
+        np.matmul(_DCT_ZIGZAG, ycc.reshape(3, -1, BANDS).swapaxes(1, 2),
                   out=out.reshape(3, BANDS, br * bc)[:, :, b0 * bc:b1 * bc])
     return BlockSpectra(out)
 

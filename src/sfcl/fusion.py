@@ -113,10 +113,11 @@ class HcmaConfig:
 
 
 class Hcma(Layer):
-    """Gated multi-head cross-modal fusion producing the fused embedding."""
+    """Multi-head cross-modal fusion producing the fused embedding, gated by
+    the descriptor; with ``use_gate`` off the module holds no gate."""
 
     def __init__(self, cfg: HcmaConfig, spatial_dim: int, freq_dim: int,
-                 rng: np.random.Generator, dtype=np.float32):
+                 rng: np.random.Generator, dtype=np.float32, use_gate: bool = True):
         self.cfg = cfg
         de, dt = cfg.embed_dim, cfg.token_dim
         self.proj_s = LinearLayer(spatial_dim, de, rng, dtype)
@@ -125,7 +126,7 @@ class Hcma(Layer):
         self.w_k = LinearLayer(dt, dt, rng, dtype, bias=False)
         self.w_v = LinearLayer(dt, dt, rng, dtype, bias=False)
         self.residual = LinearLayer(de, de, rng, dtype, bias=False)
-        self.gate = LinearLayer(DESCRIPTOR_LENGTH, de, rng, dtype)
+        self.gate = LinearLayer(DESCRIPTOR_LENGTH, de, rng, dtype) if use_gate else None
         self.bn = BatchNormLayer(de, dtype)
 
     def _split_heads(self, x: Tensor) -> Tensor:
@@ -139,8 +140,7 @@ class Hcma(Layer):
         _, t, dh = x.shape
         return T.reshape(T.transpose(T.reshape(x, (n, h, t, dh)), (0, 2, 1, 3)), (n, t * dh * h))
 
-    def fuse(self, s: Tensor, f: Tensor, d: Tensor, mode: str = "infer",
-             use_gate: bool = True) -> Tensor:
+    def fuse(self, s: Tensor, f: Tensor, d: Tensor, mode: str = "infer") -> Tensor:
         """S [N,spatial_dim], F [N,freq_dim], D [N,2304] -> fused [N,embed_dim]."""
         if d.shape[-1] != DESCRIPTOR_LENGTH:
             raise ShapeError(f"descriptor length must be {DESCRIPTOR_LENGTH}, got {d.shape}")
@@ -158,7 +158,7 @@ class Hcma(Layer):
         a_flat = self._merge_heads(attended, n)
         res = self.bn.forward(self.residual.forward(s1), mode)
         a_res = T.add(a_flat, res)
-        if not use_gate:
+        if self.gate is None:
             return a_res
         return T.mul(a_res, T.sigmoid(self.gate.forward(d)))
 

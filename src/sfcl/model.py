@@ -157,7 +157,8 @@ class Detector(Layer):
         self.cnnf = CnnF(cfg.cnnf, rng, dt)
         if cfg.fusion_mode == "hierarchical":
             self.faae = Faae(cfg.faae, cfg.backbone.shallow_channels, rng, dt)
-            self.hcma = Hcma(cfg.hcma, cfg.backbone.output_dim, cfg.cnnf.output_dim, rng, dt)
+            self.hcma = Hcma(cfg.hcma, cfg.backbone.output_dim, cfg.cnnf.output_dim, rng, dt,
+                             use_gate=cfg.use_sida_gate)
             self.classifier = Classifier(cfg.hcma.embed_dim, rng, dt)
         else:
             self.faae = None
@@ -193,7 +194,7 @@ class Detector(Layer):
         if self.cfg.fusion_mode == "hierarchical":
             y_s = self.faae.forward(x_f, x_s, mode)
             s_vec = self.backbone.deep_forward(y_s, mode)
-            fused = self.hcma.fuse(s_vec, f_vec, d, mode, use_gate=self.cfg.use_sida_gate)
+            fused = self.hcma.fuse(s_vec, f_vec, d, mode)
         else:
             s_vec = self.backbone.deep_forward(x_s, mode)
             fused = T.concat([s_vec, f_vec, d], axis=1)
@@ -224,8 +225,10 @@ class Detector(Layer):
         return out
 
     def load_state_arrays(self, state: Dict[str, np.ndarray]) -> None:
-        """Assign every tensor of ``state``, or none: each name, shape and value is
-        checked first, so a refused state leaves the model as it was."""
+        """Write every tensor of ``state`` into the array the model holds, or none:
+        each name, shape and value is checked first, so a refused state leaves
+        the model as it was. An optimizer built before the load steps the
+        loaded values."""
         own = self.state_arrays()
         missing = [k for k in own if k not in state]
         extra = [k for k in state if k not in own]
@@ -238,7 +241,5 @@ class Detector(Layer):
             with np.errstate(over="ignore"):  # a float64 beyond float32's range casts to inf
                 if not np.isfinite(value.astype(current.dtype, copy=False)).all():
                     raise FormatError(f"{name}: stored values are not all finite as {current.dtype}")
-        for name, t in self.trainables():
-            t.data = state[name].astype(t.data.dtype, copy=True)
-        for name, buf in self.buffers():
-            buf[...] = state[name].astype(buf.dtype)
+        for name, current in own.items():
+            current[...] = state[name]

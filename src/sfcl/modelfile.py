@@ -65,11 +65,11 @@ def save_model(path, arrays: Dict[str, np.ndarray]) -> None:
 
 class _Reader:
     def __init__(self, blob: bytes, path):
-        self.blob = blob
+        self.blob = memoryview(blob)
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:  # a view of the file's bytes, not a copy
         if self.pos + n > len(self.blob):
             raise FormatError(f"{self.path}: truncated model file")
         out = self.blob[self.pos:self.pos + n]
@@ -96,9 +96,9 @@ def load_model(path) -> Dict[str, np.ndarray]:
         (name_len,) = r.unpack("<H")
         raw_name = r.take(name_len)
         try:
-            name = raw_name.decode("utf-8")
+            name = str(raw_name, "utf-8")
         except UnicodeDecodeError:
-            raise FormatError(f"{path}: tensor name {raw_name[:40]!r} is not UTF-8") from None
+            raise FormatError(f"{path}: tensor name {bytes(raw_name[:40])!r} is not UTF-8") from None
         if name in out:
             raise FormatError(f"{path}: tensor {name!r} appears twice")
         code, ndim = r.unpack("<BB")

@@ -162,10 +162,11 @@ def test_c07_attention_contracts():
     x_f = Tensor(rng.standard_normal((2, 192, 2, 2)))
     identity_dev = np.abs(closed.forward(x_f, x_s, mode="infer").data - x_s.data).max()
 
-    hcma = Hcma(HcmaConfig(embed_dim=16, heads=2, tokens=1), 12, 10, rng, np.float64)
+    hcma = Hcma(HcmaConfig(embed_dim=16, heads=2, tokens=1), 12, 10, rng, np.float64,
+                use_gate=False)
     hcma.residual.w.data[...] = 0.0  # the ungated output is then the attention output
     s, f, d = (Tensor(rng.standard_normal((2, width))) for width in (12, 10, 2304))
-    attended = hcma.fuse(s, f, d, mode="infer", use_gate=False).data
+    attended = hcma.fuse(s, f, d, mode="infer").data
     values = hcma.w_v.forward(T.reshape(hcma.proj_f.forward(f), (2, 1, 16))).data
     degenerate = np.array_equal(attended, values.reshape(2, 16))
 

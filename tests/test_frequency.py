@@ -222,11 +222,8 @@ class TestStreamedRestructure:
         "ycbcr_input": ((3, 64, 80), None, False, "ycbcr"),
     }
 
-    @pytest.mark.parametrize("strip_bytes", [None, 1, 3 * 8 * 8 * 104])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_bit_equal_to_ycbcr_and_whole_channel_matmul(self, rng, monkeypatch, case, strip_bytes):
-        if strip_bytes is not None:  # strips of 1 block row, or 3 with a partial last strip
-            monkeypatch.setattr(fq, "_STRIP_BYTES", strip_bytes)
+    def test_bit_equal_to_ycbcr_and_whole_channel_matmul(self, rng, case):
         shape, bbox, transposed, space = self.CASES[case]
         px = np.round(rng.uniform(0, 255, shape))
         img = PlanarImage(_transposed(px) if transposed else px, space)
@@ -234,13 +231,10 @@ class TestStreamedRestructure:
         assert np.array_equal(got, _ycbcr_then_whole_channel_matmul(img, bbox))
         assert np.array_equal(got, fq.restructure(PlanarImage(px, space), bbox).coefficients)
 
-    @pytest.mark.parametrize("strip_bytes", [None, 1, 3 * 8 * 8 * 104])
-    @pytest.mark.parametrize("block_rows", [1, 3])  # DCT strips of 1 block row, or 3 with a partial last strip
+    @pytest.mark.parametrize("block_rows", [1, 3])  # strips of 1 block row, or 3 with a partial last strip
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_dct_strips_within_rounding_of_whole_channel_matmul(self, rng, monkeypatch, case,
-                                                                 block_rows, strip_bytes):
-        if strip_bytes is not None:  # colour strips of 1 block row, or of 3 or more by width
-            monkeypatch.setattr(fq, "_STRIP_BYTES", strip_bytes)
+                                                                 block_rows):
         shape, bbox, transposed, space = self.CASES[case]
         px = np.round(rng.uniform(0, 255, shape))
         img = PlanarImage(_transposed(px) if transposed else px, space)
@@ -258,22 +252,22 @@ class TestStreamedRestructure:
         finally:
             tracemalloc.stop()
 
-    # the spectra, one DCT strip of level-shifted blocks, one colour strip's
-    # five buffers (YCbCr rows, rg, bg) and the buffer numpy iterates the
-    # level shift through; no full-size plane beside the spectra
+    # the spectra, one strip's work buffer of five block planes (YCbCr, rg,
+    # bg; the three YCbCr planes fill _BLOCK_STRIP_BYTES) and the buffers
+    # numpy iterates strided operands through; no full-size plane beside the
+    # spectra, and no strip copy for planes of either layout
     @staticmethod
     def _strip_bound(spectra_bytes):
-        return spectra_bytes + fq._BLOCK_STRIP_BYTES + 5 * fq._STRIP_BYTES + 8 * np.getbufsize()
+        return spectra_bytes + 5 * fq._BLOCK_STRIP_BYTES // 3 + 8 * np.getbufsize()
 
     def test_peak_memory_bound(self, rng):
         peak, spectra_bytes = self._peak(PlanarImage(rng.uniform(0, 255, (3, 512, 512)), "rgb"))
         assert peak <= self._strip_bound(spectra_bytes)
 
-    def test_column_major_planes_copied_a_strip_at_a_time(self, rng):
-        # the bound above plus one strip copy of three planes, not a whole crop
+    def test_column_major_planes_take_the_same_bound(self, rng):
         img = PlanarImage(_transposed(rng.uniform(0, 255, (3, 512, 512))), "rgb")
         peak, spectra_bytes = self._peak(img)
-        assert peak <= self._strip_bound(spectra_bytes) + 3 * fq._STRIP_BYTES
+        assert peak <= self._strip_bound(spectra_bytes)
 
 
 class TestEightBitPlanes:

@@ -711,6 +711,25 @@ class TestCli:
         err = json.loads(lines[0])
         assert err["type"] == "FormatError" and "model.classifier.head.b" in err["message"]
 
+    @pytest.mark.parametrize("train_flags, eval_flags", [(["--no-sida-gate"], []),
+                                                         ([], ["--no-sida-gate"])],
+                             ids=["no_gate_file", "no_gate_model"])
+    def test_eval_gate_mismatch_is_format_error(self, tmp_path, capsys, train_flags, eval_flags):
+        cfg = _tiny_config(tmp_path)
+        data = str(tmp_path / "data")
+        model = str(tmp_path / "m.sfcl")
+        assert cli.main(["dataset-synth", "--out", data, "--config", cfg]) == 0
+        assert cli.main(["train", "--config", cfg, "--data", data, *train_flags,
+                         "--out", model]) == 0
+        capsys.readouterr()
+        code = cli.main(["eval", "--config", cfg, "--data", data, *eval_flags, "--model", model])
+        assert code == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and not captured.out
+        err = json.loads(lines[0])
+        assert err["type"] == "FormatError" and "model.hcma.gate.w" in err["message"]
+
     @staticmethod
     def _eval_overflowing_head(tmp_path, capsys, alternate):
         """``sfcl eval`` after a 1e30 batch-norm shift feeds a head of 3e38

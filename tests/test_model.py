@@ -15,7 +15,7 @@ from sfcl.model import (Detector, DetectorConfig, desk_detector_config,
                         extract_frontend, infer_slice)
 from sfcl.spatial import BackboneConfig
 from sfcl import tensor as T
-from sfcl.train import bce_loss, evaluate
+from sfcl.train import Adam, bce_loss, evaluate
 
 
 def _batch(rng, n=2, size=16, dtype=np.float64):
@@ -277,6 +277,22 @@ class TestStateRoundTrip:
         after = dst.state_arrays()
         assert all(np.array_equal(after[k], v) for k, v in before.items())
 
+    def test_load_writes_into_the_arrays_the_model_holds(self, rng):
+        src = Detector(tiny_detector_config(3, precision="single"))
+        state = {k: v.astype(np.float64) for k, v in src.state_arrays().items()}
+        dst = Detector(tiny_detector_config(4, precision="single"))
+        before = dst.state_arrays()
+        optimizer = Adam(dst.trainables(), lr=0.1)
+        dst.load_state_arrays(state)
+        after, want = dst.state_arrays(), src.state_arrays()
+        for name, array in before.items():
+            assert after[name] is array and np.array_equal(array, want[name])
+        _, p = optimizer.params[0]
+        loaded = p.data.copy()
+        p.grad = np.ones_like(loaded)
+        optimizer.step()
+        assert np.allclose(p.data, loaded - 0.1, atol=1e-6)
+
     def test_buffers_update_during_training_mode(self, rng):
         model = Detector(tiny_detector_config(5))
         before = {k: v.copy() for k, v in model.buffers()}
@@ -354,6 +370,9 @@ DESK_TRAINABLES = [
     ("model.classifier.head.w", (256, 1)),
     ("model.classifier.head.b", (1,)),
 ]
+
+# without the descriptor gate, its two tensors are gone and nothing else changes
+NO_GATE_TRAINABLES = [(n, s) for n, s in DESK_TRAINABLES if not n.startswith("model.hcma.gate.")]
 
 DESK_BUFFERS = [
     ("model.backbone.stem0.bn.running_mean", (16,)),
@@ -558,7 +577,8 @@ class TestParameterKeys:
         ({}, DESK_TRAINABLES, DESK_BUFFERS),
         ({"use_sbcm": False}, NO_SBCM_TRAINABLES, NO_SBCM_BUFFERS),
         ({"fusion_mode": "concat"}, CONCAT_TRAINABLES, CONCAT_BUFFERS),
-    ], ids=["desk", "no_sbcm", "concat"])
+        ({"use_sida_gate": False}, NO_GATE_TRAINABLES, DESK_BUFFERS),
+    ], ids=["desk", "no_sbcm", "concat", "no_gate"])
     def test_detector_keys_match_snapshot(self, overrides, trainables, buffers):
         model = Detector(desk_detector_config(**overrides))
         assert _keys(model.trainables()) == trainables

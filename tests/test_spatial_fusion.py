@@ -1,5 +1,7 @@
 """Spatial backbone, attention enhancement, and gated deep fusion."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -154,15 +156,18 @@ class TestFaae:
 
 
 class TestHcma:
-    def _small(self, rng, **kw):
+    def _small(self, rng, use_gate=True, **kw):
         cfg = dict(embed_dim=16, heads=2, tokens=4)
         cfg.update(kw)
-        return Hcma(HcmaConfig(**cfg), 12, 10, rng, np.float64)
+        return Hcma(HcmaConfig(**cfg), 12, 10, rng, np.float64, use_gate=use_gate)
 
     @staticmethod
     def _fuse_both(hcma, s, f, d):
-        """fuse's output with the gate on and off; off, it is the residual sum."""
-        return [hcma.fuse(s, f, d, mode="infer", use_gate=g).data for g in (True, False)]
+        """fuse's output with the gate and from the same layers without it; the
+        latter is the residual sum."""
+        bare = copy.copy(hcma)
+        bare.gate = None
+        return [m.fuse(s, f, d, mode="infer").data for m in (hcma, bare)]
 
     def test_zero_gate_weights_halve_the_residual_sum(self, rng):
         hcma = self._small(rng)
@@ -185,11 +190,11 @@ class TestHcma:
             assert np.allclose(fused / residual_sum, want[None, :], atol=1e-12)
 
     def test_single_token_attention_equals_values_exactly(self, rng):
-        hcma = self._small(rng, tokens=1)
+        hcma = self._small(rng, use_gate=False, tokens=1)
         hcma.residual.w.data[...] = 0.0  # the ungated output is then the attention output
         s = Tensor(rng.standard_normal((2, 12)))
         f = Tensor(rng.standard_normal((2, 10)))
-        _, attended = self._fuse_both(hcma, s, f, Tensor(rng.standard_normal((2, 2304))))
+        attended = hcma.fuse(s, f, Tensor(rng.standard_normal((2, 2304))), mode="infer").data
         values = hcma.w_v.forward(T.reshape(hcma.proj_f.forward(f), (2, 1, 16)))
         assert np.array_equal(attended, values.data.reshape(2, 16))
 
