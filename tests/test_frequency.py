@@ -222,24 +222,48 @@ class TestStreamedRestructure:
         "ycbcr_input": ((3, 64, 80), None, False, "ycbcr"),
     }
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_bit_equal_to_ycbcr_and_whole_channel_matmul(self, rng, case):
-        shape, bbox, transposed, space = self.CASES[case]
-        px = np.round(rng.uniform(0, 255, shape))
+    @classmethod
+    def _image(cls, rng, case, dtype):
+        """The case's planes as `dtype` in its memory order, and the whole-crop
+        reference taken from the same values as float64."""
+        shape, bbox, transposed, space = cls.CASES[case]
+        px = np.round(rng.uniform(0, 255, shape)).astype(dtype)
         img = PlanarImage(_transposed(px) if transposed else px, space)
-        got = fq.restructure(img, bbox).coefficients
-        assert np.array_equal(got, _ycbcr_then_whole_channel_matmul(img, bbox))
-        assert np.array_equal(got, fq.restructure(PlanarImage(px, space), bbox).coefficients)
+        want = _ycbcr_then_whole_channel_matmul(PlanarImage(px.astype(np.float64), space), bbox)
+        return img, px, bbox, want
 
-    @pytest.mark.parametrize("block_rows", [1, 3])  # strips of 1 block row, or 3 with a partial last strip
+    @staticmethod
+    def _set_strip_rows(monkeypatch, want, rows):
+        """Size _BLOCK_STRIP_BYTES for `rows` block rows of the three channels."""
+        monkeypatch.setattr(fq, "_BLOCK_STRIP_BYTES", rows * 3 * want.shape[3] * fq.BANDS * 8)
+
+    # one strip either way: a budget that holds more rows than the grid, or
+    # exactly the grid's rows
+    @pytest.mark.parametrize("budget", ["default", "exact_grid"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8], ids=["float64", "uint8"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bit_equal_to_ycbcr_and_whole_channel_matmul(self, rng, monkeypatch, case, dtype,
+                                                         budget):
+        img, px, bbox, want = self._image(rng, case, dtype)
+        if budget == "exact_grid":
+            self._set_strip_rows(monkeypatch, want, want.shape[2])
+        got = fq.restructure(img, bbox).coefficients
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, fq.restructure(PlanarImage(px, img.color_space),
+                                                  bbox).coefficients)
+
+    # strips of 1 block row, of 1 row from a budget under one row, or of 3
+    # rows with a partial last strip
+    @pytest.mark.parametrize("budget", ["one_row", "one_byte", "three_rows"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8], ids=["float64", "uint8"])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_dct_strips_within_rounding_of_whole_channel_matmul(self, rng, monkeypatch, case,
-                                                                 block_rows):
-        shape, bbox, transposed, space = self.CASES[case]
-        px = np.round(rng.uniform(0, 255, shape))
-        img = PlanarImage(_transposed(px) if transposed else px, space)
-        want = _ycbcr_then_whole_channel_matmul(img, bbox)
-        monkeypatch.setattr(fq, "_BLOCK_STRIP_BYTES", block_rows * 3 * want.shape[3] * fq.BANDS * 8)
+                                                                 dtype, budget):
+        img, _, bbox, want = self._image(rng, case, dtype)
+        if budget == "one_byte":
+            monkeypatch.setattr(fq, "_BLOCK_STRIP_BYTES", 1)
+        else:
+            self._set_strip_rows(monkeypatch, want, 1 if budget == "one_row" else 3)
         got = fq.restructure(img, bbox).coefficients
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
