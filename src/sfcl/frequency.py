@@ -12,7 +12,7 @@ blocks by it and :func:`reconstruct` by its transpose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -132,33 +132,46 @@ _ZIGZAG_FLAT = np.array([r * BLOCK + c for r, c in ZIGZAG_ORDER])
 _DCT_ZIGZAG = np.kron(_DCT, _DCT)[_ZIGZAG_FLAT]
 
 
+def _ycbcr_channel(ch: int, g: np.ndarray, rg: np.ndarray, bg: np.ndarray,
+                   out: np.ndarray, tmp: np.ndarray) -> None:
+    """Channel `ch` (0 Y, 1 Cb, 2 Cr) of full-range BT.601 into `out`, clamped
+    to [0, 255].
+
+    `g` is the green plane and `rg`, `bg` are r - g and b - g, held in any
+    dtype that holds them exactly; each product is formed in float64. `out`
+    and `tmp` are float64 buffers of one plane's shape, and `tmp` may be `bg`
+    when nothing reads `bg` afterwards. Each value gets the same operations
+    in the same order whatever values come with it, so a conversion split
+    into strips or channels equals one done whole.
+    """
+    if ch == 0:  # Y = g + 0.299 rg + 0.114 bg
+        np.multiply(rg, 0.299, out=out)
+        out += g
+        np.multiply(bg, 0.114, out=tmp)
+        out += tmp
+    else:  # Cb = 128 + 0.5 bg - 0.168736 rg, Cr = 128 + 0.5 rg - 0.081312 bg
+        half, other, k = (bg, rg, 0.168736) if ch == 1 else (rg, bg, 0.081312)
+        np.multiply(half, 0.5, out=out)
+        out += 128.0
+        np.multiply(other, k, out=tmp)
+        out -= tmp
+    np.clip(out, 0.0, 255.0, out=out)
+
+
 def _ycbcr_rows(rgb: np.ndarray, out: np.ndarray, rg: np.ndarray, bg: np.ndarray) -> None:
     """Full-range BT.601 of RGB planes [3, ...] into `out`, clamped to [0, 255].
 
     `rgb` holds ``uint8`` or float64 samples in any layout; the differences
     are formed in float64, so ``uint8`` ones cannot wrap. `rg` and `bg` are
-    buffers of one plane's shape, and out[1] and out[2] hold products until
-    their own channel is formed. Each value gets the same operations in the
-    same order whatever values come with it, so a conversion split into
-    strips equals one done whole.
+    buffers of one plane's shape; out[1] and out[2] hold products until
+    their own channel is formed, and `bg` holds Cr's.
     """
     r, g, b = rgb
-    y, cb, cr = out
     np.subtract(r, g, out=rg, dtype=np.float64)
     np.subtract(b, g, out=bg, dtype=np.float64)
-    np.multiply(rg, 0.299, out=y)  # Y = g + 0.299 rg + 0.114 bg
-    y += g
-    np.multiply(bg, 0.114, out=cb)
-    y += cb
-    np.multiply(bg, 0.5, out=cb)  # Cb = 128 + 0.5 bg - 0.168736 rg
-    cb += 128.0
-    np.multiply(rg, 0.168736, out=cr)
-    cb -= cr
-    rg *= 0.5  # Cr = 128 + 0.5 rg - 0.081312 bg
-    np.add(rg, 128.0, out=cr)
-    bg *= 0.081312
-    cr -= bg
-    np.clip(out, 0.0, 255.0, out=out)
+    _ycbcr_channel(0, g, rg, bg, out[0], out[1])
+    _ycbcr_channel(1, g, rg, bg, out[1], out[2])
+    _ycbcr_channel(2, g, rg, bg, out[2], bg)
 
 
 def crop_to_grid(img: PlanarImage, bbox: Optional[BoundingBox] = None) -> PlanarImage:
@@ -189,13 +202,18 @@ def _plane_to_blocks(planes: np.ndarray) -> np.ndarray:
     return planes.reshape(*lead, h // BLOCK, BLOCK, w // BLOCK, BLOCK).swapaxes(-3, -2)
 
 
+def _strip_rows(block_rows: int, block_cols: int) -> int:
+    """Block rows per strip: as many as fit ``_BLOCK_STRIP_BYTES`` of the
+    three channels' blocks, at least one and at most the grid's."""
+    return min(block_rows, max(1, _BLOCK_STRIP_BYTES // (3 * block_cols * BANDS * 8)))
+
+
 def restructure(img: PlanarImage, bbox: Optional[BoundingBox] = None) -> BlockSpectra:
     """RGB image -> grid crop -> YCbCr -> block DCT -> zigzag bands.
 
     The output layout is [channel, band, block row, block col]. The crop is
-    taken in strips of as many block rows as fit ``_BLOCK_STRIP_BYTES`` of
-    the three channels' blocks (at least one). Each strip's pixels are read
-    in block layout, converted to YCbCr in one work buffer of five
+    taken in strips of ``_strip_rows`` block rows. Each strip's pixels are
+    read in block layout, converted to YCbCr in one work buffer of five
     block-layout planes (YCbCr, rg, bg), level-shifted in place, and
     multiplied by the 64x64 DCT-zigzag matrix once per channel, so no
     full-size YCbCr or block plane is built. A grid of one strip takes one
@@ -205,8 +223,8 @@ def restructure(img: PlanarImage, bbox: Optional[BoundingBox] = None) -> BlockSp
     region = crop_to_grid(img, bbox)
     br, bc = region.height // BLOCK, region.width // BLOCK
     out = np.empty((3, BANDS, br, bc))
-    span = max(1, _BLOCK_STRIP_BYTES // (3 * bc * BANDS * 8))  # block rows per strip
-    buf = np.empty((5, min(span, br), bc, BLOCK, BLOCK))  # YCbCr, rg, bg
+    span = _strip_rows(br, bc)
+    buf = np.empty((5, span, bc, BLOCK, BLOCK))  # YCbCr, rg, bg
     for b0 in range(0, br, span):
         b1 = min(b0 + span, br)
         blocks = _plane_to_blocks(region.pixels[:, b0 * BLOCK:b1 * BLOCK])
@@ -219,6 +237,51 @@ def restructure(img: PlanarImage, bbox: Optional[BoundingBox] = None) -> BlockSp
         np.matmul(_DCT_ZIGZAG, ycc.reshape(3, -1, BANDS).swapaxes(1, 2),
                   out=out.reshape(3, BANDS, br * bc)[:, :, b0 * bc:b1 * bc])
     return BlockSpectra(out)
+
+
+def channel_spectra(img: PlanarImage, bbox: Optional[BoundingBox] = None) -> Iterator[np.ndarray]:
+    """:func:`restructure`'s Y, Cb and Cr spectra in turn, each [64 bands,
+    block rows, block cols] and bit-equal to that channel of its output.
+
+    All three are written into one buffer, so a caller is done with one
+    before it asks for the next. RGB input takes r - g and b - g once, in
+    block layout so that each strip reads them contiguously: in int16 for
+    ``uint8`` planes (exact, as they lie in [-255, 255]), else in float64.
+    Each channel then takes restructure's strips through its colour formula,
+    the level shift and one DCT product. One allocation holds the
+    channel, the differences and two strip planes: 12 bytes per pixel for
+    ``uint8`` RGB, 24 for float64, 8 for YCbCr, plus the strips.
+    """
+    region = crop_to_grid(img, bbox)
+    px = region.pixels
+    h, w = region.height, region.width
+    br, bc = h // BLOCK, w // BLOCK
+    span = _strip_rows(br, bc)
+    rgb = region.color_space == "rgb"
+    diff_type = np.dtype(np.int16 if px.dtype == np.uint8 else np.float64)
+    n_chan, n_strips = BANDS * br * bc, 2 * span * bc * BANDS
+    n_diffs = 2 * h * w * diff_type.itemsize // 8 if rgb else 0
+    arena = np.empty(n_chan + n_strips + n_diffs)  # float64 words
+    chan = arena[:n_chan].reshape(BANDS, br, bc)
+    strips = arena[n_chan:n_chan + n_strips].reshape(2, span, bc, BLOCK, BLOCK)
+    if rgb:
+        diffs = arena[n_chan + n_strips:].view(diff_type).reshape(2, br, bc, BLOCK, BLOCK)
+        np.subtract(_plane_to_blocks(px[::2]), _plane_to_blocks(px[1]), out=diffs,
+                    dtype=diff_type)  # r - g, b - g
+    cols = chan.reshape(BANDS, br * bc)
+    for ch in range(3):
+        for b0 in range(0, br, span):
+            b1 = min(b0 + span, br)
+            rows = slice(b0 * BLOCK, b1 * BLOCK)
+            plane, tmp = strips[:, :b1 - b0]
+            if rgb:
+                rg, bg = diffs[:, b0:b1]
+                _ycbcr_channel(ch, _plane_to_blocks(px[1, rows]), rg, bg, plane, tmp)
+                plane -= 128.0
+            else:
+                np.subtract(_plane_to_blocks(px[ch, rows]), 128.0, out=plane)
+            np.matmul(_DCT_ZIGZAG, plane.reshape(-1, BANDS).T, out=cols[:, b0 * bc:b1 * bc])
+        yield chan
 
 
 def reconstruct(spectra: BlockSpectra) -> PlanarImage:

@@ -233,6 +233,17 @@ class TestStreamedRestructure:
         return img, px, bbox, want
 
     @staticmethod
+    def _assert_channels_equal(img, bbox, spectra):
+        """channel_spectra yields restructure's channels bit for bit, in one
+        buffer that each channel overwrites."""
+        chans = fq.channel_spectra(img, bbox)
+        first = next(chans)
+        assert np.array_equal(first, spectra[0])
+        for ch, chan in enumerate(chans, 1):
+            assert chan is first and np.array_equal(chan, spectra[ch])
+        assert ch == 2
+
+    @staticmethod
     def _set_strip_rows(monkeypatch, want, rows):
         """Size _BLOCK_STRIP_BYTES for `rows` block rows of the three channels."""
         monkeypatch.setattr(fq, "_BLOCK_STRIP_BYTES", rows * 3 * want.shape[3] * fq.BANDS * 8)
@@ -251,6 +262,7 @@ class TestStreamedRestructure:
         assert np.array_equal(got, want)
         assert np.array_equal(got, fq.restructure(PlanarImage(px, img.color_space),
                                                   bbox).coefficients)
+        self._assert_channels_equal(img, bbox, got)
 
     # strips of 1 block row, of 1 row from a budget under one row, or of 3
     # rows with a partial last strip
@@ -266,6 +278,7 @@ class TestStreamedRestructure:
             self._set_strip_rows(monkeypatch, want, 1 if budget == "one_row" else 3)
         got = fq.restructure(img, bbox).coefficients
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        self._assert_channels_equal(img, bbox, got)
 
     @staticmethod
     def _peak(img):

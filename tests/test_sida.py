@@ -162,25 +162,46 @@ class TestSidaFromImage:
             tracemalloc.stop()
         assert peak <= 0.25 * spectra.coefficients.nbytes
 
+    def test_from_image_peaks_below_the_three_channel_spectra(self, rng):
+        img = PlanarImage(rng.integers(0, 256, (3, 512, 512), dtype=np.uint8), "rgb")
+        spectra_bytes = 3 * 64 * 64 * 64 * 8
+        tracemalloc.start()
+        try:
+            sida_from_image(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < spectra_bytes
+
+    @pytest.mark.parametrize("subject", ["sida_descriptor", "sida_from_image"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8], ids=["float64", "uint8"])
     @pytest.mark.parametrize("chunk_bytes", [None, 8, 5 * 8 * 8 * 104])
-    @pytest.mark.parametrize("shape,bbox,transposed", [
-        ((3, 64, 80), None, False),
-        ((3, 64, 80), None, True),
-        ((3, 64, 80), (13, 5, 56, 40), False),
-        ((3, 17 * 8 + 5, 13 * 8 + 3), None, False),
-        ((3, 16, 16), None, False),
+    @pytest.mark.parametrize("shape,bbox,transposed,strip_rows", [
+        ((3, 64, 80), None, False, None),
+        ((3, 64, 80), None, True, None),
+        ((3, 64, 80), (13, 5, 56, 40), False, None),
+        ((3, 17 * 8 + 5, 13 * 8 + 3), None, False, None),
+        ((3, 17 * 8 + 5, 13 * 8 + 3), None, True, 3),  # six strips, the last of 2 rows
+        ((3, 16, 16), None, False, None),
     ])
-    def test_equals_moments_of_full_maps(self, rng, monkeypatch, shape, bbox, transposed, chunk_bytes):
+    def test_equals_moments_of_full_maps(self, rng, monkeypatch, shape, bbox, transposed,
+                                         strip_rows, chunk_bytes, dtype, subject):
+        from sfcl import frequency
         from sfcl.frequency import BoundingBox, restructure
         if chunk_bytes is not None:  # one row a chunk, or tens that do not divide 64 bands
             monkeypatch.setattr(sida, "_CHUNK_BYTES", chunk_bytes)
-        px = np.round(rng.uniform(0, 255, shape))
+        if strip_rows is not None:
+            monkeypatch.setattr(frequency, "_BLOCK_STRIP_BYTES",
+                                strip_rows * 3 * (shape[2] // 8) * 64 * 8)
+        px = np.round(rng.uniform(0, 255, shape)).astype(dtype)
         if transposed:
             px = px.transpose(0, 2, 1).copy().transpose(0, 2, 1)
-        spectra = restructure(PlanarImage(px, "rgb"), bbox and BoundingBox(*bbox))
-        maps = oracles.differential_maps(spectra.coefficients)
+        img, box = PlanarImage(px, "rgb"), bbox and BoundingBox(*bbox)
+        maps = oracles.differential_maps(restructure(img, box).coefficients)
         want = assemble_descriptor({mode: moment_stats(m) for mode, m in maps.items()})
-        assert np.array_equal(sida_descriptor(spectra).values, want.values)
+        got = (sida_from_image(img, box) if subject == "sida_from_image"
+               else sida_descriptor(restructure(img, box)))
+        assert np.array_equal(got.values, want.values)
 
     def test_small_grid_errors_name_the_mode(self):
         with pytest.raises(InputError, match="row"):
