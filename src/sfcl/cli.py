@@ -15,13 +15,14 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .checks import CHECKS, GRAD_TOL, run_check
 from .errors import InputError, NumericError, SfclError, UsageError
-from .frequency import BANDS, CHANNEL_NAMES, BoundingBox, restructure
+from .frequency import BANDS, CHANNEL_NAMES, BoundingBox, channel_spectra, restructure
 from .io import (descriptor_csv_rows, load_bbox_manifest, load_dataset_manifest,
                  read_ppm, write_csv)
 from .metrics import metric_accuracy, metric_auc
@@ -256,8 +257,9 @@ def _cmd_eval(args) -> int:
 def _cmd_export_heatmap(args) -> int:
     if args.band < 0 or args.band > 63:
         raise UsageError(f"--band must be in [0, 63], got {args.band}")
-    spectra = restructure(read_ppm(args.image), _parse_bbox(args.bbox))
-    matrix = np.abs(spectra.coefficients[CHANNEL_NAMES.index(args.channel), args.band])
+    # channels come Y, Cb, Cr; stop at the one printed
+    chans = channel_spectra(read_ppm(args.image), _parse_bbox(args.bbox))
+    matrix = np.abs(next(islice(chans, CHANNEL_NAMES.index(args.channel), None))[args.band])
     with open(args.out, "w", newline="") as fh:
         for row in matrix:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -5,8 +5,11 @@ An RGB image becomes a restructured 4D tensor of shape
 transform follows the JPEG conventions (level shift by -128, orthonormal
 DCT-II, zigzag band ordering) but applies no quantization, so it is exactly
 invertible. DCT and zigzag are one orthonormal 64x64 matrix,
-``_DCT_ZIGZAG``: :func:`restructure` multiplies each channel's flattened
-blocks by it and :func:`reconstruct` by its transpose.
+``_DCT_ZIGZAG``. One kernel, :func:`_strip_spectra`, forms a channel's
+spectra for a strip of block rows (colour, level shift, one product):
+:func:`restructure` runs it strips-outer for all three channels and
+:func:`channel_spectra` channels-outer, one channel at a time.
+:func:`reconstruct` multiplies by the transpose.
 """
 
 from __future__ import annotations
@@ -139,10 +142,9 @@ def _ycbcr_channel(ch: int, g: np.ndarray, rg: np.ndarray, bg: np.ndarray,
 
     `g` is the green plane and `rg`, `bg` are r - g and b - g, held in any
     dtype that holds them exactly; each product is formed in float64. `out`
-    and `tmp` are float64 buffers of one plane's shape, and `tmp` may be `bg`
-    when nothing reads `bg` afterwards. Each value gets the same operations
-    in the same order whatever values come with it, so a conversion split
-    into strips or channels equals one done whole.
+    and `tmp` are float64 buffers of one plane's shape. Each value gets the
+    same operations in the same order whatever values come with it, so a
+    conversion split into strips or channels equals one done whole.
     """
     if ch == 0:  # Y = g + 0.299 rg + 0.114 bg
         np.multiply(rg, 0.299, out=out)
@@ -156,22 +158,6 @@ def _ycbcr_channel(ch: int, g: np.ndarray, rg: np.ndarray, bg: np.ndarray,
         np.multiply(other, k, out=tmp)
         out -= tmp
     np.clip(out, 0.0, 255.0, out=out)
-
-
-def _ycbcr_rows(rgb: np.ndarray, out: np.ndarray, rg: np.ndarray, bg: np.ndarray) -> None:
-    """Full-range BT.601 of RGB planes [3, ...] into `out`, clamped to [0, 255].
-
-    `rgb` holds ``uint8`` or float64 samples in any layout; the differences
-    are formed in float64, so ``uint8`` ones cannot wrap. `rg` and `bg` are
-    buffers of one plane's shape; out[1] and out[2] hold products until
-    their own channel is formed, and `bg` holds Cr's.
-    """
-    r, g, b = rgb
-    np.subtract(r, g, out=rg, dtype=np.float64)
-    np.subtract(b, g, out=bg, dtype=np.float64)
-    _ycbcr_channel(0, g, rg, bg, out[0], out[1])
-    _ycbcr_channel(1, g, rg, bg, out[1], out[2])
-    _ycbcr_channel(2, g, rg, bg, out[2], bg)
 
 
 def crop_to_grid(img: PlanarImage, bbox: Optional[BoundingBox] = None) -> PlanarImage:
@@ -208,34 +194,54 @@ def _strip_rows(block_rows: int, block_cols: int) -> int:
     return min(block_rows, max(1, _BLOCK_STRIP_BYTES // (3 * block_cols * BANDS * 8)))
 
 
+def _strip_spectra(ch: int, blocks: np.ndarray, diffs: Optional[np.ndarray],
+                   work: np.ndarray, out: np.ndarray) -> None:
+    """Channel `ch`'s spectra of one strip into `out`, [64 bands, blocks].
+
+    `blocks` is the strip's three planes in block layout. RGB input passes
+    the strip's r - g and b - g in that layout as `diffs`; YCbCr input
+    passes None. `work` is two float64 planes of the strip's block shape.
+    Callers that share a strip plan share the bits.
+    """
+    plane, tmp = work
+    if diffs is None:
+        np.subtract(blocks[ch], 128.0, out=plane)
+    else:
+        _ycbcr_channel(ch, blocks[1], diffs[0], diffs[1], plane, tmp)
+        plane -= 128.0
+    np.matmul(_DCT_ZIGZAG, plane.reshape(-1, BANDS).T, out=out)
+
+
 def restructure(img: PlanarImage, bbox: Optional[BoundingBox] = None) -> BlockSpectra:
     """RGB image -> grid crop -> YCbCr -> block DCT -> zigzag bands.
 
     The output layout is [channel, band, block row, block col]. The crop is
-    taken in strips of ``_strip_rows`` block rows. Each strip's pixels are
-    read in block layout, converted to YCbCr in one work buffer of five
-    block-layout planes (YCbCr, rg, bg), level-shifted in place, and
-    multiplied by the 64x64 DCT-zigzag matrix once per channel, so no
-    full-size YCbCr or block plane is built. A grid of one strip takes one
-    product per channel; over several strips BLAS may round some columns
-    apart from that product in the last bits.
+    taken in strips of ``_strip_rows`` block rows: RGB input takes each
+    strip's r - g and b - g once (int16 for ``uint8`` planes, exact in
+    [-255, 255], else float64), and :func:`_strip_spectra` forms Y, Cb and
+    Cr from the strip. A grid of one strip takes one product per channel;
+    over several strips BLAS may round some columns apart from that product
+    in the last bits.
     """
     region = crop_to_grid(img, bbox)
+    px = region.pixels
     br, bc = region.height // BLOCK, region.width // BLOCK
     out = np.empty((3, BANDS, br, bc))
+    cols = out.reshape(3, BANDS, br * bc)
     span = _strip_rows(br, bc)
-    buf = np.empty((5, span, bc, BLOCK, BLOCK))  # YCbCr, rg, bg
+    work = np.empty((2, span, bc, BLOCK, BLOCK))
+    diff_type = np.int16 if px.dtype == np.uint8 else np.float64
+    rgb = region.color_space == "rgb"
+    diff_strip = np.empty((2, span, bc, BLOCK, BLOCK), diff_type) if rgb else None
+    diffs = None
     for b0 in range(0, br, span):
         b1 = min(b0 + span, br)
-        blocks = _plane_to_blocks(region.pixels[:, b0 * BLOCK:b1 * BLOCK])
-        ycc = buf[:3, :b1 - b0]
-        if region.color_space == "rgb":
-            _ycbcr_rows(blocks, ycc, *buf[3:, :b1 - b0])
-            ycc -= 128.0
-        else:
-            np.subtract(blocks, 128.0, out=ycc)
-        np.matmul(_DCT_ZIGZAG, ycc.reshape(3, -1, BANDS).swapaxes(1, 2),
-                  out=out.reshape(3, BANDS, br * bc)[:, :, b0 * bc:b1 * bc])
+        blocks = _plane_to_blocks(px[:, b0 * BLOCK:b1 * BLOCK])
+        if rgb:
+            diffs = diff_strip[:, :b1 - b0]
+            np.subtract(blocks[::2], blocks[1], out=diffs, dtype=diffs.dtype)
+        for ch in range(3):
+            _strip_spectra(ch, blocks, diffs, work[:, :b1 - b0], cols[ch, :, b0 * bc:b1 * bc])
     return BlockSpectra(out)
 
 
@@ -244,43 +250,34 @@ def channel_spectra(img: PlanarImage, bbox: Optional[BoundingBox] = None) -> Ite
     block rows, block cols] and bit-equal to that channel of its output.
 
     All three are written into one buffer, so a caller is done with one
-    before it asks for the next. RGB input takes r - g and b - g once, in
-    block layout so that each strip reads them contiguously: in int16 for
-    ``uint8`` planes (exact, as they lie in [-255, 255]), else in float64.
-    Each channel then takes restructure's strips through its colour formula,
-    the level shift and one DCT product. One allocation holds the
+    before it asks for the next. RGB input takes restructure's r - g and
+    b - g once for the whole crop, in block layout. One allocation holds the
     channel, the differences and two strip planes: 12 bytes per pixel for
     ``uint8`` RGB, 24 for float64, 8 for YCbCr, plus the strips.
     """
     region = crop_to_grid(img, bbox)
     px = region.pixels
-    h, w = region.height, region.width
-    br, bc = h // BLOCK, w // BLOCK
+    br, bc = region.height // BLOCK, region.width // BLOCK
     span = _strip_rows(br, bc)
     rgb = region.color_space == "rgb"
     diff_type = np.dtype(np.int16 if px.dtype == np.uint8 else np.float64)
-    n_chan, n_strips = BANDS * br * bc, 2 * span * bc * BANDS
-    n_diffs = 2 * h * w * diff_type.itemsize // 8 if rgb else 0
-    arena = np.empty(n_chan + n_strips + n_diffs)  # float64 words
+    n_chan, n_work = BANDS * br * bc, 2 * span * bc * BANDS
+    n_diffs = 2 * n_chan * diff_type.itemsize // 8 if rgb else 0
+    arena = np.empty(n_chan + n_work + n_diffs)  # float64 words
     chan = arena[:n_chan].reshape(BANDS, br, bc)
-    strips = arena[n_chan:n_chan + n_strips].reshape(2, span, bc, BLOCK, BLOCK)
+    work = arena[n_chan:n_chan + n_work].reshape(2, span, bc, BLOCK, BLOCK)
+    diffs = None
     if rgb:
-        diffs = arena[n_chan + n_strips:].view(diff_type).reshape(2, br, bc, BLOCK, BLOCK)
+        diffs = arena[n_chan + n_work:].view(diff_type).reshape(2, br, bc, BLOCK, BLOCK)
         np.subtract(_plane_to_blocks(px[::2]), _plane_to_blocks(px[1]), out=diffs,
                     dtype=diff_type)  # r - g, b - g
     cols = chan.reshape(BANDS, br * bc)
     for ch in range(3):
         for b0 in range(0, br, span):
             b1 = min(b0 + span, br)
-            rows = slice(b0 * BLOCK, b1 * BLOCK)
-            plane, tmp = strips[:, :b1 - b0]
-            if rgb:
-                rg, bg = diffs[:, b0:b1]
-                _ycbcr_channel(ch, _plane_to_blocks(px[1, rows]), rg, bg, plane, tmp)
-                plane -= 128.0
-            else:
-                np.subtract(_plane_to_blocks(px[ch, rows]), 128.0, out=plane)
-            np.matmul(_DCT_ZIGZAG, plane.reshape(-1, BANDS).T, out=cols[:, b0 * bc:b1 * bc])
+            _strip_spectra(ch, _plane_to_blocks(px[:, b0 * BLOCK:b1 * BLOCK]),
+                           None if diffs is None else diffs[:, b0:b1], work[:, :b1 - b0],
+                           cols[:, b0 * bc:b1 * bc])
         yield chan
 
 

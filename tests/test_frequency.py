@@ -25,10 +25,13 @@ def _transposed(px):
 
 
 def _to_ycbcr(px):
-    """[3, H, W] planes through the strip kernel ``restructure`` runs, as one strip."""
-    px = np.asarray(px)
-    out = np.empty((3,) + px.shape[1:])
-    fq._ycbcr_rows(px, out, *np.empty((2,) + px.shape[1:]))
+    """[3, H, W] planes through the colour formula the strip kernel runs,
+    one channel at a time over the whole plane."""
+    r, g, b = np.asarray(px)
+    rg, bg = np.subtract(r, g, dtype=np.float64), np.subtract(b, g, dtype=np.float64)
+    out = np.empty((3,) + g.shape)
+    for ch in range(3):
+        fq._ycbcr_channel(ch, g, rg, bg, out[ch], np.empty(g.shape))
     return out
 
 
@@ -289,22 +292,31 @@ class TestStreamedRestructure:
         finally:
             tracemalloc.stop()
 
-    # the spectra, one strip's work buffer of five block planes (YCbCr, rg,
-    # bg; the three YCbCr planes fill _BLOCK_STRIP_BYTES) and the buffers
-    # numpy iterates strided operands through; no full-size plane beside the
-    # spectra, and no strip copy for planes of either layout
+    # the spectra, one strip's two float64 channel planes (each a third of
+    # _BLOCK_STRIP_BYTES), its r - g and b - g (float64, or int16 for uint8
+    # planes) and the buffers numpy iterates strided operands through; no
+    # full-size plane beside the spectra, and no strip copy for planes of
+    # either layout
     @staticmethod
-    def _strip_bound(spectra_bytes):
-        return spectra_bytes + 5 * fq._BLOCK_STRIP_BYTES // 3 + 8 * np.getbufsize()
+    def _strip_bound(spectra_bytes, dtype):
+        planes = 2 * fq._BLOCK_STRIP_BYTES // 3
+        diffs = planes * (2 if dtype == np.uint8 else 8) // 8
+        return spectra_bytes + planes + diffs + 8 * np.getbufsize()
 
-    def test_peak_memory_bound(self, rng):
-        peak, spectra_bytes = self._peak(PlanarImage(rng.uniform(0, 255, (3, 512, 512)), "rgb"))
-        assert peak <= self._strip_bound(spectra_bytes)
+    @staticmethod
+    def _planes(rng, dtype):
+        return np.round(rng.uniform(0, 255, (3, 512, 512))).astype(dtype)
 
-    def test_column_major_planes_take_the_same_bound(self, rng):
-        img = PlanarImage(_transposed(rng.uniform(0, 255, (3, 512, 512))), "rgb")
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8], ids=["float64", "uint8"])
+    def test_peak_memory_bound(self, rng, dtype):
+        peak, spectra_bytes = self._peak(PlanarImage(self._planes(rng, dtype), "rgb"))
+        assert peak <= self._strip_bound(spectra_bytes, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8], ids=["float64", "uint8"])
+    def test_column_major_planes_take_the_same_bound(self, rng, dtype):
+        img = PlanarImage(_transposed(self._planes(rng, dtype)), "rgb")
         peak, spectra_bytes = self._peak(img)
-        assert peak <= self._strip_bound(spectra_bytes)
+        assert peak <= self._strip_bound(spectra_bytes, dtype)
 
 
 class TestEightBitPlanes:

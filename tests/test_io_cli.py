@@ -540,28 +540,39 @@ class TestCli:
         assert all(float(v) == 0.0 for row in rows for v in row)
         capsys.readouterr()
 
-    def test_export_heatmap_matches_core_path_exactly(self, tmp_path, capsys, rng):
-        from sfcl.frequency import restructure
-        px = np.round(rng.uniform(0, 255, (3, 16, 24)))
+    @pytest.mark.parametrize("channel", ["Y", "Cb", "Cr"])
+    def test_export_heatmap_matches_core_path_exactly(self, tmp_path, capsys, rng, monkeypatch,
+                                                      channel):
+        """The whole 11x9-block image and a 9x7-block box, in strips sized
+        for 2 rows of 7 block columns (1 row of the whole image's 9), the
+        box's last strip partial: each matrix equals restructure's, and no
+        channel after the printed one is formed."""
+        from sfcl import frequency as fq
+        from sfcl.frequency import BoundingBox, restructure
         img = tmp_path / "noise.ppm"
-        write_ppm(img, PlanarImage(px, "rgb"))
-        out = tmp_path / "heat.csv"
-        assert cli.main(["export-heatmap", "--image", str(img), "--band", "7",
-                         "--channel", "Cb", "--out", str(out)]) == 0
-        got = np.array([[float(v) for v in line.split(",")]
-                        for line in out.read_text().splitlines()])
-        want = np.abs(restructure(read_ppm(img)).coefficients[1, 7])
-        assert np.array_equal(got, want)  # repr round-trips doubles exactly
+        write_ppm(img, PlanarImage(np.round(rng.uniform(0, 255, (3, 88, 72))), "rgb"))
+        monkeypatch.setattr(fq, "_BLOCK_STRIP_BYTES", 2 * 3 * 7 * fq.BANDS * 8)
+        formed, kernel = [], fq._strip_spectra
 
-        region = tmp_path / "region.csv"
-        assert cli.main(["export-heatmap", "--image", str(img), "--band", "7",
-                         "--channel", "Cb", "--bbox", "4,0,18,16",
-                         "--out", str(region)]) == 0
-        got = np.array([[float(v) for v in line.split(",")]
-                        for line in region.read_text().splitlines()])
-        from sfcl.frequency import BoundingBox
-        want = np.abs(restructure(read_ppm(img), BoundingBox(4, 0, 18, 16)).coefficients[1, 7])
-        assert got.shape == (2, 2) and np.array_equal(got, want)
+        def counted(ch, *args):
+            formed.append(ch)
+            kernel(ch, *args)
+
+        ch = fq.CHANNEL_NAMES.index(channel)
+        cases = [(None, 11), (BoundingBox(5, 3, 60, 78), 5)]
+        wants = [np.abs(restructure(read_ppm(img), box).coefficients[ch, 7]) for box, _ in cases]
+        monkeypatch.setattr(fq, "_strip_spectra", counted)
+        for (box, strips), want in zip(cases, wants):
+            formed.clear()
+            out = tmp_path / "heat.csv"
+            bbox = ["--bbox", f"{box.x},{box.y},{box.w},{box.h}"] if box else []
+            assert cli.main(["export-heatmap", "--image", str(img), "--band", "7",
+                             "--channel", channel, "--out", str(out)] + bbox) == 0
+            assert formed == [c for c in range(ch + 1) for _ in range(strips)]
+            got = np.array([[float(v) for v in line.split(",")]
+                            for line in out.read_text().splitlines()])
+            assert np.array_equal(got, want)  # repr round-trips doubles exactly
+        assert wants[1].shape == (9, 7)
         capsys.readouterr()
 
     def test_export_heatmap_band_range(self, tmp_path):
